@@ -201,7 +201,7 @@ impl GateReport {
             let verdict = if c.pass { "ok" } else { "FAIL" };
             match c.kind {
                 GateKind::Throughput => out.push_str(&format!(
-                    "{}: baseline {:.1}, current {:.1}, regression {:+.1}% (limit {:.0}%) — {}\n",
+                    "{}: baseline {}, current {}, regression {:+.1}% (limit {:.0}%) — {}\n",
                     c.key,
                     c.baseline,
                     c.current,
@@ -333,6 +333,18 @@ mod tests {
         assert!(!report.pass());
         assert!(report.render().contains("FAIL"));
         assert!(report.render().contains("serial_samples_per_sec"));
+    }
+
+    #[test]
+    fn render_prints_gated_values_at_full_precision() {
+        // A sub-unit floor must not collapse to "0.0 vs 0.1".
+        let baseline = r#"{"lifetime_served_per_virtual_sec":0.045}"#;
+        let current = r#"{"lifetime_served_per_virtual_sec":0.05625}"#;
+        let text = check(current, baseline, 0.30).unwrap().render();
+        assert!(
+            text.contains("baseline 0.045, current 0.05625, regression -25.0%"),
+            "{text}"
+        );
     }
 
     #[test]

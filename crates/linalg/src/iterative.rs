@@ -1,10 +1,10 @@
 //! Iterative solvers for sparse linear systems.
 //!
-//! The crossbar nodal systems are symmetric positive definite and strongly
-//! diagonally dominant, so both conjugate gradient and successive
-//! over-relaxation converge quickly. CG is the default; SOR is kept both as
-//! a cross-check and because it tolerates mild asymmetry from boundary
-//! stamping.
+//! Conjugate gradient and successive over-relaxation for symmetric
+//! positive definite, diagonally dominant systems such as crossbar nodal
+//! equations. The crossbar solver itself is the direct band Cholesky of
+//! [`crate::band`]; these are kept for the solver ablation, which
+//! cross-checks them against dense LU.
 
 use crate::sparse::CsrMatrix;
 use crate::{vector, LinalgError, Result};

@@ -7,11 +7,13 @@
 //! * [`Matrix`] / [`vector`] — dense row-major matrices and slice-based
 //!   vector kernels (dot products, norms, AXPY, …).
 //! * [`lu`] — LU factorization with partial pivoting for small dense
-//!   systems (used to validate the iterative circuit solvers).
-//! * [`sparse`] — compressed-sparse-row matrices assembled from triplets
-//!   (used for the crossbar IR-drop nodal equations).
+//!   systems (used to validate the band and iterative solvers).
+//! * [`band`] — symmetric band matrices and their Cholesky factorization
+//!   (the direct solver of the crossbar IR-drop nodal equations).
+//! * [`sparse`] — compressed-sparse-row matrices assembled from triplets.
 //! * [`iterative`] — conjugate-gradient and successive-over-relaxation
-//!   solvers for the sparse, diagonally dominant nodal systems.
+//!   solvers for sparse, diagonally dominant systems (kept for the
+//!   solver ablation).
 //! * [`rng`] — a deterministic, seedable xoshiro256++ generator, so every
 //!   Monte-Carlo experiment in the workspace is reproducible.
 //! * [`distributions`] — normal / lognormal / Bernoulli sampling, the
@@ -36,6 +38,7 @@
 
 #![warn(missing_docs)]
 
+pub mod band;
 pub mod chi2;
 pub mod distributions;
 pub mod iterative;

@@ -1,8 +1,8 @@
 //! LU factorization with partial pivoting.
 //!
-//! Used for small dense systems: validating the iterative nodal solvers in
-//! [`crate::iterative`] and solving the reduced circuit models directly when
-//! the crossbar is small enough that a direct solve is cheaper.
+//! Used for small dense systems, chiefly as the reference that the band
+//! ([`crate::band`]) and iterative ([`crate::iterative`]) solvers are
+//! validated against.
 
 use crate::{LinalgError, Matrix, Result};
 

@@ -1,9 +1,9 @@
 //! Compressed-sparse-row matrices.
 //!
-//! The crossbar IR-drop nodal equations produce large, very sparse,
-//! diagonally dominant systems (≤ 6 non-zeros per row: each wire node
-//! couples to at most two wire neighbours, one device, and itself). CSR
-//! with triplet assembly is all we need.
+//! The operand format of the iterative solvers in [`crate::iterative`]:
+//! nodal-style systems are very sparse (a crossbar wire node couples to at
+//! most two wire neighbours, one device, and itself), so CSR with triplet
+//! assembly is all they need.
 
 use crate::{LinalgError, Result};
 

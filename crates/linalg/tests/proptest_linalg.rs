@@ -6,6 +6,7 @@ use vortex_linalg::chi2;
 use vortex_linalg::iterative::{conjugate_gradient, SolveOptions};
 
 mod vortest_shims {
+    pub use vortex_linalg::band;
     pub use vortex_linalg::lu;
     pub use vortex_linalg::sparse::TripletBuilder;
     pub use vortex_linalg::stats;
@@ -186,5 +187,59 @@ proptest! {
         draws.sort_unstable();
         draws.dedup();
         prop_assert_eq!(draws.len(), total);
+    }
+}
+
+/// A random symmetric band matrix of dimension `n` and half-bandwidth `w`
+/// with off-diagonal entries in `[-1, 1]`; the diagonal is `margin` plus
+/// the row's absolute off-diagonal sum, so any positive margin makes it
+/// strictly diagonally dominant and hence SPD.
+fn random_band(seed: u64, n: usize, w: usize, margin: f64) -> band::BandMatrix {
+    let mut rng = vortex_linalg::rng::Xoshiro256PlusPlus::seed_from_u64(seed);
+    let mut a = band::BandMatrix::zeros(n, w);
+    let mut row_sum = vec![0.0; n];
+    for i in 0..n {
+        for j in i.saturating_sub(w)..i {
+            let v = rng.range_f64(-1.0, 1.0);
+            a.add(i, j, v);
+            row_sum[i] += v.abs();
+            row_sum[j] += v.abs();
+        }
+    }
+    for (i, s) in row_sum.iter().enumerate() {
+        a.add(i, i, s + margin);
+    }
+    a
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn band_cholesky_matches_lu(seed in proptest::num::u64::ANY, n in 1usize..40,
+                                w in 0usize..8, margin in 1e-3..2.0f64, rhs in vec_of(40)) {
+        let a = random_band(seed, n, w, margin);
+        let b = &rhs[..n];
+        let dense = lu::solve(&a.to_dense(), b).unwrap();
+        let x = a.cholesky().unwrap().solve(b).unwrap();
+        let scale = dense.iter().fold(0.0_f64, |m, v| m.max(v.abs())).max(1e-300);
+        for (u, v) in x.iter().zip(&dense) {
+            prop_assert!((u - v).abs() <= 1e-10 * scale, "{u} vs {v}");
+        }
+    }
+
+    #[test]
+    fn band_cholesky_rejects_non_spd(seed in proptest::num::u64::ANY, n in 1usize..30,
+                                     w in 0usize..6, k in 0usize..30) {
+        // A negative diagonal entry makes the matrix indefinite; the
+        // factorization must stop at or before that pivot.
+        let k = k % n;
+        let mut a = random_band(seed, n, w, 0.5);
+        let d = a.get(k, k);
+        a.add(k, k, -2.0 * d);
+        match a.cholesky() {
+            Err(vortex_linalg::LinalgError::Singular { pivot }) => prop_assert!(pivot <= k),
+            other => prop_assert!(false, "expected Singular, got {other:?}"),
+        }
     }
 }

@@ -356,6 +356,22 @@ impl<'a> Cursor<'a> {
     pub(crate) fn is_empty(&self) -> bool {
         self.pos == self.bytes.len()
     }
+
+    /// Fails with `Malformed` unless `count` elements of `width` bytes
+    /// fill exactly the unread payload. Decoders call it on every count
+    /// read from the file *before* sizing an allocation by it, so a
+    /// crafted count fails typed instead of aborting on allocation.
+    pub(crate) fn expect_exactly(
+        &self,
+        count: usize,
+        width: usize,
+        context: &'static str,
+    ) -> std::result::Result<(), ArtifactError> {
+        match count.checked_mul(width) {
+            Some(n) if n == self.bytes.len() - self.pos => Ok(()),
+            _ => Err(ArtifactError::Malformed { context }),
+        }
+    }
 }
 
 pub(crate) fn get_matrix(
@@ -367,12 +383,10 @@ pub(crate) fn get_matrix(
     let count = rows
         .checked_mul(cols)
         .ok_or(ArtifactError::Malformed { context })?;
+    c.expect_exactly(count, 8, context)?;
     let mut data = Vec::with_capacity(count);
     for _ in 0..count {
         data.push(c.f64(context)?);
-    }
-    if !c.is_empty() {
-        return Err(ArtifactError::Malformed { context });
     }
     Matrix::from_vec(rows, cols, data).map_err(|_| ArtifactError::Malformed { context })
 }
@@ -449,20 +463,14 @@ fn decode_cnry(payload: &[u8]) -> std::result::Result<CanarySet, ArtifactError> 
     let mut c = Cursor::new(payload);
     let count = c.u64_usize("CNRY probe count")?;
     let width = c.u64_usize("CNRY input length")?;
-    // Size the announced contents against the payload *before* any
-    // allocation, so absurd counts fail typed instead of aborting.
-    let announced = count
-        .checked_mul(width)
-        .and_then(|n| n.checked_mul(8))
-        .and_then(|n| n.checked_add(count))
-        .ok_or(ArtifactError::Malformed {
-            context: "CNRY announced size",
-        })?;
-    if announced != payload.len() - 16 {
-        return Err(ArtifactError::Malformed {
-            context: "CNRY announced size",
-        });
-    }
+    let record =
+        width
+            .checked_mul(8)
+            .and_then(|n| n.checked_add(1))
+            .ok_or(ArtifactError::Malformed {
+                context: "CNRY announced size",
+            })?;
+    c.expect_exactly(count, record, "CNRY announced size")?;
     let mut inputs = Vec::with_capacity(count);
     for _ in 0..count {
         let mut x = Vec::with_capacity(width);
@@ -472,11 +480,6 @@ fn decode_cnry(payload: &[u8]) -> std::result::Result<CanarySet, ArtifactError> 
         inputs.push(x);
     }
     let golden = c.take(count, "CNRY golden predictions")?.to_vec();
-    if !c.is_empty() {
-        return Err(ArtifactError::Malformed {
-            context: "CNRY trailing bytes",
-        });
-    }
     CanarySet::new(inputs, golden).map_err(|_| ArtifactError::Malformed {
         context: "CNRY probe set",
     })
@@ -489,24 +492,10 @@ fn decode_enct(payload: &[u8]) -> std::result::Result<EncodingTable, ArtifactErr
             context: "ENCT scheme code",
         })?;
     let rows = c.u64_usize("ENCT row count")?;
-    // Size the announced contents against the payload *before* any
-    // allocation, as the canary decoder does.
-    let announced = rows.checked_mul(2).ok_or(ArtifactError::Malformed {
-        context: "ENCT announced size",
-    })?;
-    if announced != payload.len() - 9 {
-        return Err(ArtifactError::Malformed {
-            context: "ENCT announced size",
-        });
-    }
+    c.expect_exactly(rows, 2, "ENCT announced size")?;
     let mut levels = Vec::with_capacity(rows);
     for _ in 0..rows {
         levels.push(c.u16("ENCT levels")?);
-    }
-    if !c.is_empty() {
-        return Err(ArtifactError::Malformed {
-            context: "ENCT trailing bytes",
-        });
     }
     EncodingTable::new(scheme, levels).map_err(|_| ArtifactError::Malformed {
         context: "ENCT level table",
@@ -517,14 +506,10 @@ fn decode_rout(payload: &[u8]) -> std::result::Result<(usize, Vec<usize>), Artif
     let mut c = Cursor::new(payload);
     let physical_rows = c.u64_usize("ROUT physical rows")?;
     let logical_rows = c.u64_usize("ROUT logical rows")?;
+    c.expect_exactly(logical_rows, 8, "ROUT announced size")?;
     let mut assignment = Vec::with_capacity(logical_rows);
     for _ in 0..logical_rows {
         assignment.push(c.u64_usize("ROUT assignment")?);
-    }
-    if !c.is_empty() {
-        return Err(ArtifactError::Malformed {
-            context: "ROUT trailing bytes",
-        });
     }
     Ok((physical_rows, assignment))
 }

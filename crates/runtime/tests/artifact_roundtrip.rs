@@ -334,6 +334,44 @@ fn corrupt_enct_row_count_is_a_typed_error() {
     }
 }
 
+/// Byte offset of the first section tagged `tag`.
+fn section_at(bytes: &[u8], tag: &[u8; 4]) -> usize {
+    bytes
+        .windows(4)
+        .position(|w| w == tag)
+        .expect("section present")
+}
+
+#[test]
+fn oversized_rout_count_is_malformed_not_an_abort() {
+    // A CRC-valid artifact announcing 2^40 logical rows must be refused
+    // before any allocation is sized by that count.
+    let mut bytes = compiled(9, 4, 0.0, Fidelity::Ideal, 5).to_bytes();
+    let count_at = section_at(&bytes, b"ROUT") + SECTION_HEADER + 8;
+    bytes[count_at..count_at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    reseal_crc(&mut bytes);
+    match artifact_err(CompiledModel::from_bytes(&bytes)) {
+        ArtifactError::Malformed { .. } => {}
+        other => panic!("expected Malformed, got {other:?}"),
+    }
+}
+
+#[test]
+fn oversized_matrix_dimensions_are_malformed_not_an_abort() {
+    // GPOS announcing 2^20 × 2^20 entries (8 TiB) in a 9×4 payload.
+    let mut bytes = compiled(9, 4, 0.0, Fidelity::Ideal, 5).to_bytes();
+    let dims_at = section_at(&bytes, b"GPOS") + SECTION_HEADER;
+    for k in 0..2 {
+        let at = dims_at + 8 * k;
+        bytes[at..at + 8].copy_from_slice(&(1u64 << 20).to_le_bytes());
+    }
+    reseal_crc(&mut bytes);
+    match artifact_err(CompiledModel::from_bytes(&bytes)) {
+        ArtifactError::Malformed { .. } => {}
+        other => panic!("expected Malformed, got {other:?}"),
+    }
+}
+
 #[test]
 fn wrong_magic_yields_bad_magic() {
     let mut bytes = compiled(6, 3, 0.0, Fidelity::Ideal, 5).to_bytes();

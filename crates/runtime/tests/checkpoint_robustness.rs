@@ -69,6 +69,23 @@ fn corrupt_step_scale_is_malformed() {
 }
 
 #[test]
+fn oversized_weight_dimensions_are_malformed_not_an_abort() {
+    // The weight matrix follows five scalars and the 32-byte RNG state;
+    // announcing 2^20 × 2^20 entries must fail typed before allocation.
+    let mut bytes = checkpoint(5, 4, 3, 1).to_bytes();
+    let dims_at = PAYLOAD_AT + 72;
+    for k in 0..2 {
+        let at = dims_at + 8 * k;
+        bytes[at..at + 8].copy_from_slice(&(1u64 << 20).to_le_bytes());
+    }
+    reseal(&mut bytes);
+    assert!(matches!(
+        checkpoint_err(TrainingCheckpoint::from_bytes(&bytes)),
+        ArtifactError::Malformed { .. }
+    ));
+}
+
+#[test]
 fn epoch_field_survives_extreme_values() {
     // The epoch is an opaque counter: the codec must round-trip the full
     // u64 domain, not just small values.

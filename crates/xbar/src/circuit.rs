@@ -17,11 +17,14 @@
 //!   which is what the IR-drop analysis of §3.2 is about.
 //!
 //! The resulting system is a symmetric positive definite conductance
-//! Laplacian with Dirichlet boundary segments; it is solved with
-//! Jacobi-preconditioned conjugate gradient.
+//! Laplacian with Dirichlet boundary segments. Numbered along the array's
+//! shorter side — `(i, layer, j)` when `cols ≤ rows`, `(j, layer, i)`
+//! otherwise — it is a band matrix of half-bandwidth `2·min(rows, cols)`,
+//! stamped straight into band storage and solved directly by a band
+//! Cholesky factorization ([`vortex_linalg::band`]). One factorization
+//! serves every bias condition that drives the same set of wires.
 
-use vortex_linalg::iterative::{conjugate_gradient, SolveOptions};
-use vortex_linalg::sparse::TripletBuilder;
+use vortex_linalg::band::{BandCholesky, BandMatrix};
 use vortex_linalg::Matrix;
 
 use crate::{Result, XbarError};
@@ -56,8 +59,8 @@ pub struct ComputeSolution {
     pub column_currents: Vec<f64>,
     /// Voltage across every device: `T(i,j) − B(i,j)`.
     pub device_voltages: Matrix,
-    /// Raw node voltages (row-wire nodes then column-wire nodes) — usable
-    /// as a warm start for a subsequent solve with similar inputs.
+    /// Raw node voltages: row-wire node `T(i,j)` at `i·cols + j`, then
+    /// column-wire node `B(i,j)` at `rows·cols + i·cols + j`.
     pub node_voltages: Vec<f64>,
 }
 
@@ -83,7 +86,6 @@ pub struct NodalAnalysis {
     rows: usize,
     cols: usize,
     g_wire: f64,
-    options: SolveOptions,
 }
 
 impl NodalAnalysis {
@@ -111,18 +113,7 @@ impl NodalAnalysis {
             rows,
             cols,
             g_wire: 1.0 / r_wire,
-            options: SolveOptions {
-                max_iterations: 200_000,
-                tolerance: 1e-9,
-                omega: 1.6,
-            },
         })
-    }
-
-    /// Overrides the iterative-solver options.
-    pub fn with_options(mut self, options: SolveOptions) -> Self {
-        self.options = options;
-        self
     }
 
     /// Number of rows of the mesh.
@@ -143,87 +134,125 @@ impl NodalAnalysis {
         self.rows * self.cols + i * self.cols + j
     }
 
-    /// Stamps the mesh with the given per-row source voltages and per-column
-    /// termination voltages, then solves. Returns node voltages.
-    fn solve_mesh(
-        &self,
-        g: &Matrix,
-        row_sources: &[f64],
-        col_terminations: &[f64],
-        warm_start: Option<&[f64]>,
-    ) -> Result<Vec<f64>> {
-        let drives: Vec<RowDrive> = row_sources.iter().map(|&v| RowDrive::Voltage(v)).collect();
-        let terms: Vec<ColTermination> = col_terminations
-            .iter()
-            .map(|&v| ColTermination::Voltage(v))
-            .collect();
-        self.solve_mesh_general(g, &drives, &terms, warm_start)
+    /// Band-order index of the row-wire node `T(i, j)` (`layer` 0) or the
+    /// column-wire node `B(i, j)` (`layer` 1): numbered along the shorter
+    /// side, so every coupling spans at most `2·min(rows, cols)` indices.
+    fn node(&self, i: usize, layer: usize, j: usize) -> usize {
+        if self.cols <= self.rows {
+            (2 * i + layer) * self.cols + j
+        } else {
+            (2 * j + layer) * self.rows + i
+        }
     }
 
-    /// [`Self::solve_mesh`] with per-row drive conditions: a row is either
-    /// driven at a voltage or left floating (its driver disconnected — the
-    /// condition under which sneak paths appear).
-    fn solve_mesh_general(
+    /// Stamps the mesh's conductance Laplacian into band storage and
+    /// factors it. Only *which* wires are driven or terminated enters the
+    /// matrix; their voltages enter the right-hand side
+    /// ([`Self::solve_factored`]), so one factor serves every bias with
+    /// the same pattern.
+    fn factor(
         &self,
         g: &Matrix,
         row_drives: &[RowDrive],
         col_terminations: &[ColTermination],
-        warm_start: Option<&[f64]>,
-    ) -> Result<Vec<f64>> {
+    ) -> Result<BandCholesky> {
         let (m, n) = (self.rows, self.cols);
         let gw = self.g_wire;
-        let n_nodes = 2 * m * n;
-        let mut a = TripletBuilder::new(n_nodes, n_nodes);
-        let mut rhs = vec![0.0; n_nodes];
-
+        let mut a = BandMatrix::zeros(2 * m * n, 2 * m.min(n));
+        let mut stamp = |u: usize, v: usize, c: f64| {
+            a.add(u, u, c);
+            a.add(v, v, c);
+            a.add(u, v, -c);
+        };
         for i in 0..m {
             for j in 0..n {
-                let t = self.t_idx(i, j);
-                let b = self.b_idx(i, j);
-                let gd = g[(i, j)];
-
+                let t = self.node(i, 0, j);
+                let b = self.node(i, 1, j);
                 // Device between T and B.
-                a.add(t, t, gd);
-                a.add(b, b, gd);
-                a.add(t, b, -gd);
-                a.add(b, t, -gd);
-
-                // Row wire: left neighbour or driver (floating rows have
-                // no driver segment at all).
-                if j == 0 {
-                    if let RowDrive::Voltage(v) = row_drives[i] {
-                        a.add(t, t, gw);
-                        rhs[t] += gw * v;
-                    }
-                } else {
-                    let left = self.t_idx(i, j - 1);
-                    a.add(t, t, gw);
-                    a.add(left, left, gw);
-                    a.add(t, left, -gw);
-                    a.add(left, t, -gw);
+                stamp(t, b, g[(i, j)]);
+                // Row wire to the left neighbour; column wire to the one
+                // below.
+                if j > 0 {
+                    stamp(t, self.node(i, 0, j - 1), gw);
                 }
-
-                // Column wire: lower neighbour or termination (floating
-                // columns have no termination segment).
-                if i == m - 1 {
-                    if let ColTermination::Voltage(v) = col_terminations[j] {
-                        a.add(b, b, gw);
-                        rhs[b] += gw * v;
-                    }
-                } else {
-                    let below = self.b_idx(i + 1, j);
-                    a.add(b, b, gw);
-                    a.add(below, below, gw);
-                    a.add(b, below, -gw);
-                    a.add(below, b, -gw);
+                if i + 1 < m {
+                    stamp(b, self.node(i + 1, 1, j), gw);
                 }
             }
         }
+        // Driver and termination segments (floating wires have none).
+        for (i, d) in row_drives.iter().enumerate() {
+            if let RowDrive::Voltage(_) = d {
+                let t = self.node(i, 0, 0);
+                a.add(t, t, gw);
+            }
+        }
+        for (j, c) in col_terminations.iter().enumerate() {
+            if let ColTermination::Voltage(_) = c {
+                let b = self.node(m - 1, 1, j);
+                a.add(b, b, gw);
+            }
+        }
+        Ok(a.cholesky()?)
+    }
 
-        let a = a.build();
-        let report =
-            conjugate_gradient(&a, &rhs, warm_start, &self.options).map_err(XbarError::Numeric)?;
-        Ok(report.x)
+    /// Solves a mesh factored by [`Self::factor`] with the same drive
+    /// pattern for these drive voltages. Returns node voltages in band
+    /// order ([`Self::node`]).
+    fn solve_factored(
+        &self,
+        chol: &BandCholesky,
+        row_drives: &[RowDrive],
+        col_terminations: &[ColTermination],
+    ) -> Result<Vec<f64>> {
+        let mut rhs = vec![0.0; 2 * self.rows * self.cols];
+        for (i, d) in row_drives.iter().enumerate() {
+            if let RowDrive::Voltage(x) = d {
+                rhs[self.node(i, 0, 0)] += self.g_wire * x;
+            }
+        }
+        for (j, c) in col_terminations.iter().enumerate() {
+            if let ColTermination::Voltage(x) = c {
+                rhs[self.node(self.rows - 1, 1, j)] += self.g_wire * x;
+            }
+        }
+        Ok(chol.solve(&rhs)?)
+    }
+
+    /// Factors and solves in one go; node voltages in band order.
+    fn solve_mesh(
+        &self,
+        g: &Matrix,
+        row_drives: &[RowDrive],
+        col_terminations: &[ColTermination],
+    ) -> Result<Vec<f64>> {
+        let chol = self.factor(g, row_drives, col_terminations)?;
+        self.solve_factored(&chol, row_drives, col_terminations)
+    }
+
+    /// Voltage `T(i,j) − B(i,j)` across every device, from band-ordered
+    /// node voltages.
+    fn device_voltages(&self, v: &[f64]) -> Matrix {
+        Matrix::from_fn(self.rows, self.cols, |i, j| {
+            v[self.node(i, 0, j)] - v[self.node(i, 1, j)]
+        })
+    }
+
+    /// Packages a band-ordered solve as a [`ComputeSolution`] (node
+    /// voltages back in row-wire-then-column-wire order).
+    fn compute_solution(&self, v: &[f64], column_currents: Vec<f64>) -> ComputeSolution {
+        let mut node_voltages = vec![0.0; v.len()];
+        for i in 0..self.rows {
+            for j in 0..self.cols {
+                node_voltages[self.t_idx(i, j)] = v[self.node(i, 0, j)];
+                node_voltages[self.b_idx(i, j)] = v[self.node(i, 1, j)];
+            }
+        }
+        ComputeSolution {
+            column_currents,
+            device_voltages: self.device_voltages(v),
+            node_voltages,
+        }
     }
 
     /// Compute-mode (read) solve: rows driven at `x`, columns at virtual
@@ -233,23 +262,9 @@ impl NodalAnalysis {
     ///
     /// * [`XbarError::ShapeMismatch`] if `g` or `x` disagree with the mesh
     ///   geometry.
-    /// * [`XbarError::Numeric`] if the CG solve fails.
+    /// * [`XbarError::Numeric`] if the factorization meets a singular
+    ///   pivot (non-positive conductances).
     pub fn compute(&self, g: &Matrix, x: &[f64]) -> Result<ComputeSolution> {
-        self.compute_with_warm_start(g, x, None)
-    }
-
-    /// [`Self::compute`] with an optional warm start from a previous
-    /// solution's `node_voltages`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::compute`].
-    pub fn compute_with_warm_start(
-        &self,
-        g: &Matrix,
-        x: &[f64],
-        warm_start: Option<&[f64]>,
-    ) -> Result<ComputeSolution> {
         self.check_shape(g)?;
         if x.len() != self.rows {
             return Err(XbarError::ShapeMismatch {
@@ -258,19 +273,13 @@ impl NodalAnalysis {
                 actual: x.len(),
             });
         }
-        let zeros = vec![0.0; self.cols];
-        let v = self.solve_mesh(g, x, &zeros, warm_start)?;
+        let drives: Vec<RowDrive> = x.iter().map(|&v| RowDrive::Voltage(v)).collect();
+        let terms = vec![ColTermination::Voltage(0.0); self.cols];
+        let v = self.solve_mesh(g, &drives, &terms)?;
         let currents = (0..self.cols)
-            .map(|j| self.g_wire * v[self.b_idx(self.rows - 1, j)])
+            .map(|j| self.g_wire * v[self.node(self.rows - 1, 1, j)])
             .collect();
-        let device_voltages = Matrix::from_fn(self.rows, self.cols, |i, j| {
-            v[self.t_idx(i, j)] - v[self.b_idx(i, j)]
-        });
-        Ok(ComputeSolution {
-            column_currents: currents,
-            device_voltages,
-            node_voltages: v,
-        })
+        Ok(self.compute_solution(&v, currents))
     }
 
     /// General read solve with arbitrary per-row drive conditions and
@@ -281,7 +290,9 @@ impl NodalAnalysis {
     /// # Errors
     ///
     /// * [`XbarError::ShapeMismatch`] if dimensions disagree.
-    /// * [`XbarError::Numeric`] if the solve fails.
+    /// * [`XbarError::Numeric`] with [`vortex_linalg::LinalgError::Singular`]
+    ///   if part of the mesh has no path to any driven or terminated wire
+    ///   (e.g. every row and column floating): its voltage is undefined.
     pub fn compute_general(
         &self,
         g: &Matrix,
@@ -303,21 +314,16 @@ impl NodalAnalysis {
                 actual: col_terminations.len(),
             });
         }
-        let v = self.solve_mesh_general(g, row_drives, col_terminations, None)?;
+        let v = self.solve_mesh(g, row_drives, col_terminations)?;
         let currents = (0..self.cols)
             .map(|j| match col_terminations[j] {
-                ColTermination::Voltage(vt) => self.g_wire * (v[self.b_idx(self.rows - 1, j)] - vt),
+                ColTermination::Voltage(vt) => {
+                    self.g_wire * (v[self.node(self.rows - 1, 1, j)] - vt)
+                }
                 ColTermination::Floating => 0.0,
             })
             .collect();
-        let device_voltages = Matrix::from_fn(self.rows, self.cols, |i, j| {
-            v[self.t_idx(i, j)] - v[self.b_idx(i, j)]
-        });
-        Ok(ComputeSolution {
-            column_currents: currents,
-            device_voltages,
-            node_voltages: v,
-        })
+        Ok(self.compute_solution(&v, currents))
     }
 
     /// Programming-mode solve with the V/2 half-select scheme: row `p`
@@ -332,7 +338,8 @@ impl NodalAnalysis {
     ///
     /// * [`XbarError::ShapeMismatch`] / [`XbarError::InvalidParameter`] on
     ///   bad arguments.
-    /// * [`XbarError::Numeric`] if the CG solve fails.
+    /// * [`XbarError::Numeric`] if the factorization meets a singular
+    ///   pivot (non-positive conductances).
     pub fn program_bias(
         &self,
         g: &Matrix,
@@ -347,17 +354,50 @@ impl NodalAnalysis {
                 requirement: "cell coordinates must lie inside the array",
             });
         }
+        let (drives, terms) = self.half_select(selected, v_program);
+        let v = self.solve_mesh(g, &drives, &terms)?;
+        Ok(self.device_voltages(&v))
+    }
+
+    /// The full-select programming voltage of every cell: entry `(p, q)`
+    /// equals `program_bias(g, (p, q), v_program)[(p, q)]`. Every
+    /// half-select bias drives every wire, so the mesh is factored once
+    /// and each of the `rows·cols` conditions costs one band solve.
+    ///
+    /// # Errors
+    ///
+    /// * [`XbarError::ShapeMismatch`] if `g` disagrees with the mesh.
+    /// * [`XbarError::Numeric`] if the factorization meets a singular
+    ///   pivot (non-positive conductances).
+    pub fn selected_program_voltages(&self, g: &Matrix, v_program: f64) -> Result<Matrix> {
+        self.check_shape(g)?;
+        let (drives, terms) = self.half_select((0, 0), v_program);
+        let chol = self.factor(g, &drives, &terms)?;
+        let mut out = Matrix::zeros(self.rows, self.cols);
+        for p in 0..self.rows {
+            for q in 0..self.cols {
+                let (drives, terms) = self.half_select((p, q), v_program);
+                let v = self.solve_factored(&chol, &drives, &terms)?;
+                out[(p, q)] = v[self.node(p, 0, q)] - v[self.node(p, 1, q)];
+            }
+        }
+        Ok(out)
+    }
+
+    /// Wire conditions of the V/2 half-select scheme for cell `(p, q)`.
+    fn half_select(
+        &self,
+        (p, q): (usize, usize),
+        v_program: f64,
+    ) -> (Vec<RowDrive>, Vec<ColTermination>) {
         let half = v_program / 2.0;
-        let row_sources: Vec<f64> = (0..self.rows)
-            .map(|i| if i == p { v_program } else { half })
+        let drives = (0..self.rows)
+            .map(|i| RowDrive::Voltage(if i == p { v_program } else { half }))
             .collect();
-        let col_terms: Vec<f64> = (0..self.cols)
-            .map(|j| if j == q { 0.0 } else { half })
+        let terms = (0..self.cols)
+            .map(|j| ColTermination::Voltage(if j == q { 0.0 } else { half }))
             .collect();
-        let v = self.solve_mesh(g, &row_sources, &col_terms, None)?;
-        Ok(Matrix::from_fn(self.rows, self.cols, |i, j| {
-            v[self.t_idx(i, j)] - v[self.b_idx(i, j)]
-        }))
+        (drives, terms)
     }
 
     fn check_shape(&self, g: &Matrix) -> Result<()> {
@@ -474,20 +514,6 @@ mod tests {
             far < near,
             "far cell should be more degraded: far={far} near={near}"
         );
-    }
-
-    #[test]
-    fn compute_warm_start_matches_cold() {
-        let na = NodalAnalysis::new(5, 3, 2.5).unwrap();
-        let g = Matrix::from_fn(5, 3, |i, j| 1e-5 * (1 + i + j) as f64);
-        let x = [1.0, 0.0, 1.0, 0.5, 0.25];
-        let cold = na.compute(&g, &x).unwrap();
-        let warm = na
-            .compute_with_warm_start(&g, &x, Some(&cold.node_voltages))
-            .unwrap();
-        for (a, b) in cold.column_currents.iter().zip(&warm.column_currents) {
-            assert!((a - b).abs() < 1e-9);
-        }
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! decomposition (§3.2).
 //!
 //! The exact mesh solve ([`crate::circuit::NodalAnalysis`]) costs one
-//! sparse solve per bias condition; programming a whole `m × n` array that
-//! way costs `m·n` solves. This module provides:
+//! band factorization per conductance state plus one band solve per bias
+//! condition; programming a whole `m × n` array that way costs `m·n`
+//! solves. This module provides:
 //!
 //! * [`ProgramVoltageMap`] — per-cell programming-voltage degradation
 //!   factors, computed either exactly (small arrays / validation) or with
@@ -45,23 +46,19 @@ impl ProgramVoltageMap {
         }
     }
 
-    /// Exact map: one full mesh solve per cell. Accurate but `O(m·n)`
-    /// solves — use for small arrays and for validating the analytic
-    /// model.
+    /// Exact map: the mesh is factored once, then solved for each cell's
+    /// half-select bias ([`NodalAnalysis::selected_program_voltages`]).
+    /// Accurate but `O(m·n)` band solves — use for small arrays and for
+    /// validating the analytic model.
     ///
     /// # Errors
     ///
     /// Propagates solver errors.
     pub fn from_exact(na: &NodalAnalysis, g: &Matrix, v_program: f64) -> Result<Self> {
-        let (m, n) = (na.rows(), na.cols());
-        let mut factors = Matrix::zeros(m, n);
-        for i in 0..m {
-            for j in 0..n {
-                let bias = na.program_bias(g, (i, j), v_program)?;
-                factors[(i, j)] = (bias[(i, j)] / v_program).clamp(0.0, 1.0);
-            }
-        }
-        Ok(Self { factors })
+        let selected = na.selected_program_voltages(g, v_program)?;
+        Ok(Self {
+            factors: selected.map(|v| (v / v_program).clamp(0.0, 1.0)),
+        })
     }
 
     /// Transmission-line analytic map.
@@ -332,6 +329,27 @@ mod tests {
         let near = map.factor(7, 0);
         assert!(far < near, "far {far} near {near}");
         assert!((map.worst_factor() - far).abs() < 1e-12);
+    }
+
+    #[test]
+    fn exact_map_equals_per_cell_program_bias() {
+        // One factor reused for every cell must agree with a fresh solve
+        // per cell, on both short-side orderings.
+        for &(m, n) in &[(7usize, 4usize), (3, 6)] {
+            let na = NodalAnalysis::new(m, n, 4.0).unwrap();
+            let g = Matrix::from_fn(m, n, |i, j| 1e-6 + ((3 * i + j) % 5) as f64 * 2e-5);
+            let map = ProgramVoltageMap::from_exact(&na, &g, 2.8).unwrap();
+            for i in 0..m {
+                for j in 0..n {
+                    let per_cell = na.program_bias(&g, (i, j), 2.8).unwrap()[(i, j)] / 2.8;
+                    assert!(
+                        (map.factor(i, j) - per_cell).abs() < 1e-12,
+                        "cell ({i},{j}): {} vs {per_cell}",
+                        map.factor(i, j)
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -3,11 +3,11 @@
 use proptest::prelude::*;
 use vortex_device::DeviceParams;
 use vortex_linalg::rng::Xoshiro256PlusPlus;
-use vortex_linalg::Matrix;
-use vortex_xbar::circuit::NodalAnalysis;
-use vortex_xbar::ideal;
+use vortex_linalg::{lu, LinalgError, Matrix};
+use vortex_xbar::circuit::{ColTermination, NodalAnalysis, RowDrive};
 use vortex_xbar::pair::WeightMapping;
 use vortex_xbar::sensing::{Adc, Dac};
+use vortex_xbar::{ideal, XbarError};
 
 fn conductances(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
     proptest::collection::vec(1e-6..1e-4f64, rows * cols)
@@ -226,5 +226,120 @@ proptest! {
         let g = Matrix::filled(6, 4, gval);
         let map = vortex_xbar::irdrop::ProgramVoltageMap::analytic(&g, r_wire, 2.8).unwrap();
         prop_assert!(map.factor(5, 0) + 1e-9 >= map.factor(0, 3));
+    }
+}
+
+/// The mesh of [`NodalAnalysis`] stamped densely in the natural
+/// row-wire-then-column-wire order (`T(i,j)` at `i·n + j`, `B(i,j)` at
+/// `m·n + i·n + j`) and solved by dense LU: an independent reference for
+/// the band-ordered Cholesky path.
+fn dense_mesh_solve(
+    g: &Matrix,
+    r_wire: f64,
+    rows: &[RowDrive],
+    cols: &[ColTermination],
+) -> Vec<f64> {
+    let (m, n) = g.shape();
+    let gw = 1.0 / r_wire;
+    let t = |i: usize, j: usize| i * n + j;
+    let b = |i: usize, j: usize| m * n + i * n + j;
+    let mut a = Matrix::zeros(2 * m * n, 2 * m * n);
+    let mut rhs = vec![0.0; 2 * m * n];
+    let stamp = |a: &mut Matrix, u: usize, v: usize, c: f64| {
+        a[(u, u)] += c;
+        a[(v, v)] += c;
+        a[(u, v)] -= c;
+        a[(v, u)] -= c;
+    };
+    for i in 0..m {
+        for j in 0..n {
+            stamp(&mut a, t(i, j), b(i, j), g[(i, j)]);
+            if j > 0 {
+                stamp(&mut a, t(i, j), t(i, j - 1), gw);
+            }
+            if i + 1 < m {
+                stamp(&mut a, b(i, j), b(i + 1, j), gw);
+            }
+        }
+    }
+    for (i, d) in rows.iter().enumerate() {
+        if let RowDrive::Voltage(v) = *d {
+            a[(t(i, 0), t(i, 0))] += gw;
+            rhs[t(i, 0)] += gw * v;
+        }
+    }
+    for (j, c) in cols.iter().enumerate() {
+        if let ColTermination::Voltage(v) = *c {
+            a[(b(m - 1, j), b(m - 1, j))] += gw;
+            rhs[b(m - 1, j)] += gw * v;
+        }
+    }
+    lu::solve(&a, &rhs).unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn nodal_band_solve_matches_dense_lu(seed in proptest::num::u64::ANY) {
+        // Random shapes on both sides of rows == cols (the two band
+        // orderings), random conductances over the device window, and
+        // about a third of the wires floating — at least one wire stays
+        // driven so the mesh has a reference potential.
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(seed);
+        let m = 1 + rng.next_below(7);
+        let n = 1 + rng.next_below(7);
+        let r_wire = rng.range_f64(0.5, 20.0);
+        let g = Matrix::from_fn(m, n, |_, _| 10f64.powf(rng.range_f64(-6.0, -4.0)));
+        let mut rows: Vec<RowDrive> = (0..m)
+            .map(|_| {
+                if rng.bool_with_probability(0.35) {
+                    RowDrive::Floating
+                } else {
+                    RowDrive::Voltage(rng.range_f64(-1.0, 1.0))
+                }
+            })
+            .collect();
+        let cols: Vec<ColTermination> = (0..n)
+            .map(|_| {
+                if rng.bool_with_probability(0.35) {
+                    ColTermination::Floating
+                } else {
+                    ColTermination::Voltage(rng.range_f64(-0.5, 0.5))
+                }
+            })
+            .collect();
+        if rows.iter().all(|d| *d == RowDrive::Floating)
+            && cols.iter().all(|c| *c == ColTermination::Floating)
+        {
+            rows[0] = RowDrive::Voltage(1.0);
+        }
+        let na = NodalAnalysis::new(m, n, r_wire).unwrap();
+        let sol = na.compute_general(&g, &rows, &cols).unwrap();
+        let reference = dense_mesh_solve(&g, r_wire, &rows, &cols);
+        let scale = reference.iter().fold(0.0_f64, |s, v| s.max(v.abs())).max(1e-300);
+        prop_assert_eq!(sol.node_voltages.len(), reference.len());
+        for (k, (u, v)) in sol.node_voltages.iter().zip(&reference).enumerate() {
+            prop_assert!((u - v).abs() <= 1e-10 * scale, "{m}x{n} node {k}: {u} vs {v}");
+        }
+    }
+
+    #[test]
+    fn all_floating_mesh_is_a_typed_singular_error(m in 1usize..7, n in 1usize..7,
+                                                   gval in 1e-6..1e-4f64) {
+        // No wire is driven or terminated: the node voltages are defined
+        // only up to a constant, which the factorization must report
+        // instead of returning garbage or panicking.
+        let na = NodalAnalysis::new(m, n, 2.5).unwrap();
+        let g = Matrix::filled(m, n, gval);
+        let result = na.compute_general(
+            &g,
+            &vec![RowDrive::Floating; m],
+            &vec![ColTermination::Floating; n],
+        );
+        prop_assert!(
+            matches!(result, Err(XbarError::Numeric(LinalgError::Singular { .. }))),
+            "{m}x{n}: {result:?}"
+        );
     }
 }
