@@ -12,6 +12,28 @@
 //! descent as [`vortex_nn::gdt`]; the extra penalty contributes the
 //! subgradient `γ·ρ·(x ∘ x ∘ w)/‖x ∘ w‖₂` whenever the padded margin is
 //! violated.
+//!
+//! # The step kernel
+//!
+//! One step makes two passes over `w` and allocates nothing:
+//!
+//! 1. the score `x·w` and `‖x ∘ w‖²`, accumulated together, each left to
+//!    right from zero exactly as [`vector::dot`] sums them;
+//! 2. per element, in the order the separate kernels applied them: the L2
+//!    shrink `w·(1 − α·l2)`, the hinge `+α·α₀·ŷ·x` and the penalty
+//!    `−(α·coeff/‖x ∘ w‖₂)·x·(x·w_old)`, recomputing `x·w_old` from the
+//!    element it is about to overwrite instead of storing `x ∘ w`.
+//!
+//! Every rounding happens on the same operands in the same order as the
+//! one-kernel-per-sweep loop (`dot`, `hadamard`, `norm2`, `scale`, `axpy`,
+//! penalty), so the weights are bit-identical to it; only the sign of a
+//! zero sum can differ with the toolchain's `f64::sum` start value, and
+//! that sign reaches no weight. [`VatTrainer::train`] runs the columns in
+//! lockstep pairs: each column keeps its own RNG, shuffle order and `w`,
+//! so pairing changes no result, while pass 1 carries four independent
+//! add chains instead of two, which hides floating-point add latency.
+//! `crates/core/tests/vat_equivalence.rs` pins all of this against the
+//! one-kernel-per-sweep loop with `f64::to_bits`.
 
 use serde::{Deserialize, Serialize};
 use vortex_linalg::rng::Xoshiro256PlusPlus;
@@ -20,6 +42,10 @@ use vortex_nn::dataset::Dataset;
 
 use crate::rho::RhoConfig;
 use crate::{CoreError, Result};
+
+/// Columns [`VatTrainer::train`] steps in lockstep: a pair gives pass 1
+/// four independent add chains.
+const COLUMN_GROUP: usize = 2;
 
 /// VAT trainer: hinge subgradient descent with the variation penalty.
 ///
@@ -158,7 +184,9 @@ impl VatTrainer {
     }
 
     /// Trains all columns, returning the `features × classes` weight
-    /// matrix.
+    /// matrix. Columns train in lockstep pairs (see the module docs); the
+    /// result equals training every column alone with
+    /// [`Self::train_column`], bit for bit.
     ///
     /// # Errors
     ///
@@ -166,18 +194,20 @@ impl VatTrainer {
     /// or an empty dataset.
     pub fn train(&self, data: &Dataset) -> Result<Matrix> {
         let _span = vortex_obs::span!("pipeline.vat_train_seconds");
-        self.validate()?;
-        if data.is_empty() {
-            return Err(CoreError::InvalidParameter {
-                name: "data",
-                requirement: "must be non-empty",
-            });
-        }
-        let n = data.num_features();
+        let coeff = self.prepare(data)?;
         let m = data.num_classes();
-        let mut w = Matrix::zeros(n, m);
-        for class in 0..m {
-            let col = self.train_column(data, class as u8)?;
+        let mut w = Matrix::zeros(data.num_features(), m);
+        let mut class = 0;
+        while class + COLUMN_GROUP <= m {
+            let classes = std::array::from_fn(|k| (class + k) as u8);
+            let cols: [Vec<f64>; COLUMN_GROUP] = self.train_group(data, classes, coeff);
+            for (k, col) in cols.iter().enumerate() {
+                w.set_col(class + k, col);
+            }
+            class += COLUMN_GROUP;
+        }
+        for class in class..m {
+            let [col] = self.train_group(data, [class as u8], coeff);
             w.set_col(class, &col);
         }
         Ok(w)
@@ -189,6 +219,14 @@ impl VatTrainer {
     ///
     /// Same conditions as [`Self::train`].
     pub fn train_column(&self, data: &Dataset, class: u8) -> Result<Vec<f64>> {
+        let coeff = self.prepare(data)?;
+        let [w] = self.train_group(data, [class], coeff);
+        Ok(w)
+    }
+
+    /// Validates the configuration and the data; returns the penalty
+    /// coefficient for the data's feature count.
+    fn prepare(&self, data: &Dataset) -> Result<f64> {
         self.validate()?;
         if data.is_empty() {
             return Err(CoreError::InvalidParameter {
@@ -196,42 +234,93 @@ impl VatTrainer {
                 requirement: "must be non-empty",
             });
         }
+        self.penalty_coefficient(data.num_features())
+    }
+
+    /// Trains the columns of `classes` in lockstep. Each column keeps its
+    /// own RNG, shuffle order and weights, so the group only interleaves
+    /// work that is independent: column `k` comes out exactly as if it
+    /// had trained alone.
+    fn train_group<const G: usize>(
+        &self,
+        data: &Dataset,
+        classes: [u8; G],
+        coeff: f64,
+    ) -> [Vec<f64>; G] {
         let n = data.num_features();
-        let coeff = self.penalty_coefficient(n)?;
-        let mut w = vec![0.0_f64; n];
-        let mut order: Vec<usize> = (0..data.len()).collect();
-        let mut rng = Xoshiro256PlusPlus::seed_from_u64(self.seed ^ ((class as u64) << 32));
+        let mut w: [Vec<f64>; G] = std::array::from_fn(|_| vec![0.0_f64; n]);
+        let mut order: [Vec<usize>; G] = std::array::from_fn(|_| (0..data.len()).collect());
+        let mut rng: [Xoshiro256PlusPlus; G] = std::array::from_fn(|k| {
+            Xoshiro256PlusPlus::seed_from_u64(self.seed ^ ((classes[k] as u64) << 32))
+        });
         let mut step_count = 0usize;
 
         for _epoch in 0..self.epochs {
-            rng.shuffle(&mut order);
-            for &i in &order {
+            for (r, o) in rng.iter_mut().zip(&mut order) {
+                r.shuffle(o);
+            }
+            let steps =
+                (0..data.len()).map(|t| -> [usize; G] { std::array::from_fn(|k| order[k][t]) });
+            for samples in steps {
                 step_count += 1;
                 let alpha = self.learning_rate / (1.0 + step_count as f64 * self.l2.max(1e-6));
-                let x = data.image(i);
-                let target = if data.label(i) == class { 1.0 } else { -1.0 };
-                let score = vector::dot(x, &w);
-                // Penalty term: γ·ρ·‖x ∘ w‖₂ (Eq. (10) with t = |V|).
-                let xw = vector::hadamard(x, &w);
-                let penalty_norm = vector::norm2(&xw);
-                let violated = self.alpha0 * target * score - coeff * penalty_norm < self.margin;
-                if self.l2 > 0.0 {
-                    vector::scale(1.0 - alpha * self.l2, &mut w);
+                // `w·1.0 == w` bit for bit, so a disabled shrink can share
+                // the update loops below.
+                let shrink = if self.l2 > 0.0 {
+                    1.0 - alpha * self.l2
+                } else {
+                    1.0
+                };
+                let x: [&[f64]; G] = std::array::from_fn(|k| &data.image(samples[k])[..n]);
+                // Pass 1: the score `x·w` and `‖x ∘ w‖²` of every column,
+                // G×2 independent chains, each summed left to right.
+                let mut score = [0.0_f64; G];
+                let mut norm_sq = [0.0_f64; G];
+                let wr: [&[f64]; G] = std::array::from_fn(|k| &w[k][..n]);
+                for q in 0..n {
+                    for k in 0..G {
+                        let xw = x[k][q] * wr[k][q];
+                        score[k] += xw;
+                        norm_sq[k] += xw * xw;
+                    }
                 }
-                if violated {
+                // Pass 2: shrink, hinge and penalty, element by element.
+                for k in 0..G {
+                    let target = if data.label(samples[k]) == classes[k] {
+                        1.0
+                    } else {
+                        -1.0
+                    };
+                    // Penalty term: γ·ρ·‖x ∘ w‖₂ (Eq. (10) with t = |V|).
+                    let penalty_norm = norm_sq[k].sqrt();
+                    let violated =
+                        self.alpha0 * target * score[k] - coeff * penalty_norm < self.margin;
+                    let (x, w) = (x[k], &mut w[k]);
+                    if !violated {
+                        if self.l2 > 0.0 {
+                            vector::scale(shrink, w);
+                        }
+                        continue;
+                    }
                     // Hinge part: +α·α₀·ŷ·x.
-                    vector::axpy(alpha * self.alpha0 * target, x, &mut w);
-                    // Penalty part: −α·coeff·(x∘x∘w)/‖x∘w‖₂.
+                    let hinge = alpha * self.alpha0 * target;
                     if coeff > 0.0 && penalty_norm > 1e-12 {
+                        // Penalty part: −α·coeff·(x∘x∘w)/‖x∘w‖₂, with the
+                        // pre-step `w`.
                         let scale = alpha * coeff / penalty_norm;
-                        for ((wq, &xq), &xwq) in w.iter_mut().zip(x).zip(&xw) {
-                            *wq -= scale * xq * xwq;
+                        for (wq, &xq) in w.iter_mut().zip(x) {
+                            let xw = xq * *wq;
+                            *wq = (*wq * shrink + hinge * xq) - scale * xq * xw;
+                        }
+                    } else {
+                        for (wq, &xq) in w.iter_mut().zip(x) {
+                            *wq = *wq * shrink + hinge * xq;
                         }
                     }
                 }
             }
         }
-        Ok(w)
+        w
     }
 }
 

@@ -126,12 +126,21 @@ impl GdtTrainer {
                 let x = data.image(i);
                 let target = if data.label(i) == class { 1.0 } else { -1.0 };
                 let score = vector::dot(x, &w);
-                // L2 shrink (applied regardless of margin violation).
-                if self.l2 > 0.0 {
-                    vector::scale(1.0 - alpha * self.l2, &mut w);
-                }
+                // L2 shrink (applied regardless of margin violation),
+                // then the hinge, fused into one pass: `w·1.0 == w` bit
+                // for bit, so a disabled shrink shares the hinge loop.
+                let shrink = if self.l2 > 0.0 {
+                    1.0 - alpha * self.l2
+                } else {
+                    1.0
+                };
                 if target * score < self.margin {
-                    vector::axpy(alpha * target, x, &mut w);
+                    let hinge = alpha * target;
+                    for (wq, &xq) in w.iter_mut().zip(x) {
+                        *wq = *wq * shrink + hinge * xq;
+                    }
+                } else if self.l2 > 0.0 {
+                    vector::scale(shrink, &mut w);
                 }
             }
         }

@@ -243,16 +243,30 @@ impl WorkerPool {
             // before any can run, so the quiescence wait below can never
             // miss one.
             let ptr = SendPtr(&run as *const Run<'_, T, F> as *const ());
+            // SAFETY: `enter` is the `enter_run` of exactly this `T` and
+            // `F`, and the only pointer it is ever called with is `ptr`,
+            // which points to a `Run<'_, T, F>`: the erased type and the
+            // recovered type always agree.
             let enter: unsafe fn(*const ()) = enter_run::<T, F>;
             let mut queue = self.shared.queue.lock().expect("pool queue lock");
             for _ in 0..helpers {
                 queue.jobs.push_back(Job {
                     run: run_id,
-                    // SAFETY (deferred): see `Run` — the pointer stays
-                    // valid because this function does not return while
-                    // any enqueued-or-running helper can still touch it.
-                    // `ptr.get()` keeps 2021 precise capture from peeling
-                    // the non-`Send` raw pointer out of the `Send` wrapper.
+                    // SAFETY: `enter_run` requires a live `Run<T, F>` behind
+                    // `ptr`. `run` lives in this frame, and this function
+                    // neither returns nor unwinds past it while the job
+                    // exists: every helper is counted in
+                    // `progress.helpers` before it is pushed, and the
+                    // return path first purges unstarted helpers from the
+                    // queue, then waits for `helpers == 0`, which a
+                    // started helper only signals as its last touch of
+                    // the `Run`. Nothing on that path unwinds: task panics
+                    // are caught inside `claim`, and the lock `expect`s
+                    // cannot fire because no code panics while holding
+                    // the queue or progress lock, so neither is ever
+                    // poisoned. `ptr.get()` keeps 2021 precise capture
+                    // from peeling the non-`Send` raw pointer out of the
+                    // `Send` wrapper.
                     call: Box::new(move || unsafe { enter(ptr.get()) }),
                 });
             }
@@ -348,6 +362,12 @@ struct Run<'f, T, F> {
     panic: Mutex<Option<Box<dyn Any + Send>>>,
 }
 
+// SAFETY: helpers reach a `Run` only through `&Run`. Its `Mutex`,
+// `Condvar` and atomic fields are `Sync`; `tasks` is read-only; `f` is
+// shared as `&F` with `F: Sync`. The `slots` pointer is the one non-`Sync`
+// part: a slot is written by the single thread that claimed its index
+// (see `claim`) and each value is a `T: Send` that moves to the caller,
+// which reads the slots only after quiescence.
 unsafe impl<T: Send, F: Sync> Sync for Run<'_, T, F> {}
 
 impl<T, F> Run<'_, T, F>
@@ -363,8 +383,11 @@ where
                 return;
             }
             match catch_unwind(AssertUnwindSafe(|| (self.f)(k))) {
-                // SAFETY: `k` was claimed from the cursor exactly once,
-                // so this thread has exclusive access to slot `k`.
+                // SAFETY: `k < tasks`, so `slots.add(k)` stays inside the
+                // `tasks`-long buffer, which outlives the run (see `Run`).
+                // The cursor hands out `k` exactly once, so this thread is
+                // the only one that ever accesses slot `k` before the
+                // caller reads it after quiescence.
                 Ok(value) => unsafe {
                     *(*self.slots.add(k)).get() = Some(value);
                 },
@@ -387,6 +410,10 @@ where
 #[derive(Clone, Copy)]
 struct SendPtr(*const ());
 
+// SAFETY: the only `SendPtr` ever built points to a `Run`, which is
+// `Sync` (above), so handing the pointer to another thread is sending a
+// `&Run`. The pointee's lifetime is the caller's business: see the
+// `enter` call site in `run_indexed`.
 unsafe impl Send for SendPtr {}
 
 impl SendPtr {
@@ -398,11 +425,19 @@ impl SendPtr {
 /// Helper-side entry: claim tasks, then check out of the run. The
 /// check-out notification under the progress lock is the last touch of
 /// the `Run`; after it, `run_indexed` is free to return.
+///
+/// # Safety
+///
+/// `ptr` must point to a `Run<'_, T, F>` of this `T` and `F` that stays
+/// alive until this call has decremented `progress.helpers`, and this
+/// call must be counted in `progress.helpers`.
 unsafe fn enter_run<T, F>(ptr: *const ())
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    // SAFETY: by this function's contract `ptr` is a live `Run<'_, T, F>`
+    // until the decrement below; the shared reference ends with it.
     let run = &*(ptr as *const Run<'_, T, F>);
     run.claim();
     let mut progress = run.progress.lock().expect("pool run progress lock");

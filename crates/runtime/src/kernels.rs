@@ -9,7 +9,9 @@
 //!   (zero-skip + row-major axpy accumulation), which is what keeps a
 //!   compiled model bit-exact with the live crossbar read. Every public
 //!   `scores()` value comes from this kernel; it is the semantics of the
-//!   model.
+//!   model. A calibrated model reads through [`gemv_ref_attenuated`],
+//!   which forms each effective conductance `gᵢⱼ·aᵢⱼ` as it goes, so the
+//!   model stores `G` and `A` but no third f64 copy of their product.
 //! * [`gemv_f32`] — the **fast path**: the differential read collapsed
 //!   into one pre-combined single-precision matrix
 //!   `D = (G⁺∘A⁺ − G⁻∘A⁻)/s`, walked with column tiling and 4-row
@@ -71,6 +73,26 @@ pub fn gemv_ref(m: &Matrix, x: &[f64], y: &mut [f64]) {
     }
 }
 
+/// [`gemv_ref`] over the effective matrix `g ∘ a` without storing it:
+/// `yⱼ += xᵢ·(gᵢⱼ·aᵢⱼ)`. Each product is the element of
+/// `g.hadamard(a)`, taken in the same order, so the result equals
+/// `gemv_ref(&g.hadamard(a), x, y)` bit for bit. This is the reference
+/// read of a calibrated model.
+pub fn gemv_ref_attenuated(g: &Matrix, a: &Matrix, x: &[f64], y: &mut [f64]) {
+    debug_assert_eq!(g.shape(), a.shape());
+    debug_assert_eq!(x.len(), g.rows());
+    debug_assert_eq!(y.len(), g.cols());
+    y.fill(0.0);
+    for (i, &xi) in x.iter().enumerate() {
+        if xi == 0.0 {
+            continue;
+        }
+        for ((yj, &gij), &aij) in y.iter_mut().zip(g.row(i)).zip(a.row(i)) {
+            *yj += xi * (gij * aij);
+        }
+    }
+}
+
 /// `y = dᵀx` in f32 over the row-major `rows × cols` matrix `d`, column
 /// tiled and 4-row unrolled. Deterministic: a fixed association order,
 /// independent of thread count or call site.
@@ -129,7 +151,8 @@ pub struct FastGemv {
 
 impl FastGemv {
     /// Builds the combined matrix and radii from the effective
-    /// conductance pair of a compiled model.
+    /// conductance pair of a compiled model (`G` itself for an ideal
+    /// read, a transient `G ∘ A` for a calibrated one).
     pub fn from_effective(eff_pos: &Matrix, eff_neg: &Matrix, scale: f64) -> Self {
         let (rows, cols) = eff_pos.shape();
         debug_assert_eq!(eff_neg.shape(), (rows, cols));

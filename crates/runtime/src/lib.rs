@@ -19,9 +19,9 @@
 //!
 //! The frozen read is bit-exact with the live read of
 //! [`vortex_xbar::pair::DifferentialPair::read`]: the ideal path computes
-//! the very same `gᵀx` products, and the calibrated path folds the
-//! attenuation into an effective conductance matrix exactly as
-//! [`vortex_xbar::irdrop::ComputeAttenuationMap::compute`] does per
+//! the very same `gᵀx` products, and the calibrated path forms each
+//! effective conductance `gᵢⱼ·aᵢⱼ` inside the read, the same product
+//! [`vortex_xbar::irdrop::ComputeAttenuationMap::compute`] stores per
 //! sample — the values, and the floating-point operation order, are
 //! unchanged.
 

@@ -31,7 +31,7 @@ use vortex_xbar::irdrop::ComputeAttenuationMap;
 use vortex_xbar::pair::FrozenPairState;
 use vortex_xbar::sensing::{Adc, Dac};
 
-use crate::kernels::{gemv_ref, FastGemv};
+use crate::kernels::{gemv_ref, gemv_ref_attenuated, FastGemv};
 use crate::{Result, RuntimeError};
 
 /// Samples per executor chunk in [`CompiledModel::infer_batch`]: large
@@ -45,7 +45,7 @@ pub enum Fidelity {
     /// Perfect wires: `i = gᵀx`.
     Ideal,
     /// Calibrated IR-drop: per-cell attenuation from one exact mesh solve
-    /// at compile time, folded into effective conductances.
+    /// at compile time, applied to each conductance inside the read.
     Calibrated,
     /// Full nodal solve per sample (small arrays only).
     Exact,
@@ -219,9 +219,8 @@ pub struct CompiledModel {
     pub(crate) att_neg: Option<Matrix>,
     pub(crate) canary: Option<CanarySet>,
     pub(crate) encoding: EncodingTable,
-    // --- derived state, rebuilt on load ---
-    eff_pos: Matrix,
-    eff_neg: Matrix,
+    // --- derived state, rebuilt on load: only `exact` and `fast`. The f64
+    // reference reads `g_*` (through `att_*` when calibrated) directly. ---
     exact: Option<NodalAnalysis>,
     /// The certified f32 label fast path; `None` for fidelities/periphery
     /// where the tolerance proof does not hold (exact solve, quantized
@@ -396,17 +395,8 @@ impl CompiledModel {
                 }
             }
         }
-        // Derived read state: effective conductances (the per-sample
-        // hadamard of the live read, done once), and the solver for the
-        // exact path.
-        let (eff_pos, eff_neg) = match fidelity {
-            Fidelity::Calibrated => {
-                let ap = att_pos.as_ref().expect("validated above");
-                let an = att_neg.as_ref().expect("validated above");
-                (g_pos.hadamard(ap), g_neg.hadamard(an))
-            }
-            Fidelity::Ideal | Fidelity::Exact => (g_pos.clone(), g_neg.clone()),
-        };
+        // Derived read state: the solver for the exact path and the
+        // certified f32 kernel.
         let exact = match fidelity {
             Fidelity::Exact => Some(NodalAnalysis::new(g_pos.rows(), g_pos.cols(), r_wire)?),
             _ => None,
@@ -417,9 +407,12 @@ impl CompiledModel {
         // before either kernel sees it. ADC quantization happens *after*
         // the product, where an f32 score could land in a different bin,
         // so those models stay on the reference.
-        let fast = match fidelity {
-            Fidelity::Ideal | Fidelity::Calibrated if adc.is_none() => {
-                Some(FastGemv::from_effective(&eff_pos, &eff_neg, scale))
+        let fast = match (fidelity, &att_pos, &att_neg) {
+            (Fidelity::Calibrated, Some(ap), Some(an)) if adc.is_none() => Some(
+                FastGemv::from_effective(&g_pos.hadamard(ap), &g_neg.hadamard(an), scale),
+            ),
+            (Fidelity::Ideal, _, _) if adc.is_none() => {
+                Some(FastGemv::from_effective(&g_pos, &g_neg, scale))
             }
             _ => None,
         };
@@ -451,8 +444,6 @@ impl CompiledModel {
             att_neg,
             canary,
             encoding,
-            eff_pos,
-            eff_neg,
             exact,
             fast,
         })
@@ -750,8 +741,16 @@ impl CompiledModel {
         }
         match &self.exact {
             None => {
-                gemv_ref(&self.eff_pos, &s.routed, &mut s.i_pos);
-                gemv_ref(&self.eff_neg, &s.routed, &mut s.i_neg);
+                let arrays = [
+                    (&self.g_pos, &self.att_pos, &mut s.i_pos),
+                    (&self.g_neg, &self.att_neg, &mut s.i_neg),
+                ];
+                for (g, att, out) in arrays {
+                    match att {
+                        Some(a) => gemv_ref_attenuated(g, a, &s.routed, out),
+                        None => gemv_ref(g, &s.routed, out),
+                    }
+                }
             }
             Some(na) => {
                 let ip = na.compute(&self.g_pos, &s.routed)?.column_currents;
@@ -1009,6 +1008,58 @@ mod tests {
         for (a, b) in live.iter().zip(&frozen) {
             assert_eq!(a.to_bits(), b.to_bits(), "live {a} vs frozen {b}");
         }
+    }
+
+    #[test]
+    fn calibrated_reference_reads_g_and_att_bit_for_bit() {
+        // The reference path multiplies `g·att` per read instead of
+        // storing the product; every score must equal the stored-product
+        // read, and a saved then loaded model must label identically.
+        let rows = 24;
+        let pair = programmed_pair(rows, 4, 6.0, 31);
+        let reference = vec![0.45; rows];
+        let model = CompiledModel::compile(
+            &pair.freeze(),
+            &identity(rows),
+            &ReadOptions::new(Fidelity::Calibrated),
+            Some(&reference),
+        )
+        .unwrap();
+        let eff_pos = model.g_pos.hadamard(model.att_pos.as_ref().unwrap());
+        let eff_neg = model.g_neg.hadamard(model.att_neg.as_ref().unwrap());
+        let path = std::env::temp_dir().join(format!("vxrt-att-{}.bin", std::process::id()));
+        model.save(&path).unwrap();
+        let loaded = CompiledModel::load(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let held_out: Vec<Vec<f64>> = (0..64)
+            .map(|k| {
+                (0..rows)
+                    .map(|i| (((i * 5 + k * 11) % 7) as f64) / 6.0)
+                    .collect()
+            })
+            .collect();
+        let (mut ip, mut in_) = (vec![0.0; 4], vec![0.0; 4]);
+        for x in &held_out {
+            gemv_ref(&eff_pos, x, &mut ip);
+            gemv_ref(&eff_neg, x, &mut in_);
+            let want: Vec<u64> = ip
+                .iter()
+                .zip(&in_)
+                .map(|(p, n)| ((p - n) / model.scale).to_bits())
+                .collect();
+            let got: Vec<u64> = model
+                .scores(x)
+                .unwrap()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            assert_eq!(got, want);
+        }
+        let refs: Vec<&[f64]> = held_out.iter().map(Vec::as_slice).collect();
+        assert_eq!(
+            model.infer_batch(&refs, Parallelism::Serial).unwrap(),
+            loaded.infer_batch(&refs, Parallelism::Serial).unwrap()
+        );
     }
 
     #[test]
