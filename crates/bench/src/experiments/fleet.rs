@@ -6,7 +6,7 @@
 //!
 //! * **Ensemble accuracy** — five replicas compiled from distinct
 //!   variation seeds
-//!   ([`ModelCompiler::compile_replicas`](vortex_core::pipeline::ModelCompiler::compile_replicas))
+//!   ([`CompileRequest::compile_replicas`](vortex_core::pipeline::CompileRequest::compile_replicas))
 //!   classify a
 //!   dedicated evaluation set at each sigma; the per-sample majority
 //!   vote is scored against every single chip. A deliberately large
@@ -543,7 +543,9 @@ pub fn run(scale: &Scale) -> FleetResult {
             .with_ir_drop(5.0);
         let compiler = env.compiler().with_calibration(&eval.mean_input());
         let replicas = compiler
-            .compile_replicas(&weights, &mapping, base_seed, REPLICAS)
+            .request(&weights, &mapping)
+            .seed(base_seed)
+            .compile_replicas(REPLICAS)
             .expect("compilation");
         let singles: Vec<f64> = replicas
             .iter()

@@ -219,7 +219,8 @@ pub fn run(scale: &Scale) -> RuntimeResult {
     let model = env
         .compiler()
         .with_calibration(&test.mean_input())
-        .compile(&weights, &RowMapping::identity(weights.rows()), &mut rng)
+        .request(&weights, &RowMapping::identity(weights.rows()))
+        .compile_with(&mut rng)
         .expect("model compiles");
     let reference = model.clone().with_reference_kernel();
 

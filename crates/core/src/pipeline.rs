@@ -268,7 +268,7 @@ pub fn evaluate_hardware_with(
     let draws = run_trials(rng, mc_draws, parallelism, |_, draw_rng| {
         // Compile once per fabrication draw, then batch-infer the test
         // set through the frozen read path.
-        let model = compiler.compile(weights, mapping, draw_rng)?;
+        let model = compiler.request(weights, mapping).compile_with(draw_rng)?;
         score_model(&model, test)
     });
     let per_draw = draws.into_iter().collect::<Result<Vec<f64>>>()?;
@@ -284,9 +284,9 @@ pub fn evaluate_hardware_with(
 ///
 /// Obtained from [`HardwareEnv::compiler`]. The builder owns its
 /// substrate (a `Copy` of the env) and the optional IR-drop calibration
-/// input, so the three pipeline stages — [`program`](Self::program),
-/// [`freeze`](Self::freeze), [`compile`](Self::compile) — need only the
-/// per-model arguments.
+/// input, so the pipeline stages — [`program`](Self::program),
+/// [`freeze`](Self::freeze) and the one-shot [`request`](Self::request)
+/// — need only the per-model arguments.
 ///
 /// ```no_run
 /// # use vortex_core::pipeline::HardwareEnv;
@@ -298,7 +298,8 @@ pub fn evaluate_hardware_with(
 /// let model = env
 ///     .compiler()
 ///     .with_calibration(calibration)
-///     .compile(weights, mapping, rng)?;
+///     .request(weights, mapping)
+///     .compile_with(rng)?;
 /// # let _ = model; Ok(())
 /// # }
 /// ```
@@ -527,63 +528,6 @@ impl ModelCompiler {
         )
         .map_err(CoreError::Runtime)
     }
-
-    /// Fabricates, programs and freezes in one step: the full compile
-    /// path from trained weights to a servable [`CompiledModel`].
-    ///
-    /// Equivalent to `self.request(weights, mapping).compile_with(rng)`
-    /// with default options.
-    ///
-    /// # Errors
-    ///
-    /// Propagates fabrication, programming and calibration errors.
-    pub fn compile(
-        &self,
-        weights: &Matrix,
-        mapping: &RowMapping,
-        rng: &mut Xoshiro256PlusPlus,
-    ) -> Result<CompiledModel> {
-        self.request(weights, mapping).compile_with(rng)
-    }
-
-    /// [`Self::compile`] from a bare variation seed: fabricates a fresh
-    /// substrate whose device variations are drawn from `seed` alone, so
-    /// every distinct seed is a distinct simulated physical chip and the
-    /// same seed always yields the bit-identical model. This is the
-    /// canonical way to build fleet replicas.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::compile`].
-    pub fn compile_seeded(
-        &self,
-        weights: &Matrix,
-        mapping: &RowMapping,
-        seed: u64,
-    ) -> Result<CompiledModel> {
-        self.request(weights, mapping).seed(seed).compile()
-    }
-
-    /// Compiles `n` replicas from `n` distinct variation seeds derived
-    /// deterministically from `base_seed` (SplitMix64 stream, so the
-    /// seeds — and hence the chips — are independent). Returns
-    /// `(seed, model)` pairs in replica order.
-    ///
-    /// # Errors
-    ///
-    /// See [`Self::compile`]; the first failing replica (by replica
-    /// index) aborts the batch.
-    pub fn compile_replicas(
-        &self,
-        weights: &Matrix,
-        mapping: &RowMapping,
-        base_seed: u64,
-        n: usize,
-    ) -> Result<Vec<(u64, CompiledModel)>> {
-        self.request(weights, mapping)
-            .seed(base_seed)
-            .compile_replicas(n)
-    }
 }
 
 /// Options carried by a [`CompileRequest`].
@@ -634,10 +578,9 @@ impl Default for CompileOptions {
 /// A single compile invocation, built fluently from
 /// [`ModelCompiler::request`]: weights + routing + [`CompileOptions`].
 ///
-/// This is the one place all compile paths meet — the legacy positional
-/// methods ([`ModelCompiler::compile`], [`ModelCompiler::compile_seeded`],
-/// [`ModelCompiler::compile_replicas`]) are thin delegates over it, pinned
-/// bit-equal by the equivalence tests.
+/// This is the one place all compile paths meet: an external RNG stream
+/// ([`Self::compile_with`]), one seed ([`Self::compile`]) or a replica
+/// fan-out ([`Self::compile_replicas`]).
 ///
 /// # Example
 ///
@@ -961,7 +904,8 @@ mod tests {
         let one_shot = env
             .compiler()
             .with_calibration(&calibration)
-            .compile(&w, &mapping, &mut rng())
+            .request(&w, &mapping)
+            .compile_with(&mut rng())
             .unwrap();
         // program → freeze staged through the same builder must produce
         // the same frozen read, sample for sample: same seed, same

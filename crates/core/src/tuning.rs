@@ -7,6 +7,21 @@
 //! validation group is measured. The γ with the best with-variation
 //! validation accuracy wins and is used for the final training pass on all
 //! samples.
+//!
+//! # How the scan runs
+//!
+//! Every candidate of one class trains on the same shuffled sample order
+//! (the shuffle RNG is seeded by class, not by γ), so the scan trains the
+//! whole grid at once through [`VatTrainer::train_gamma_grid`]: the γ
+//! candidates of a class run in lockstep lanes, four per chunk, each lane
+//! its own chain of the column kernel's arithmetic, and on `x86_64` CPUs
+//! with AVX2 in one 256-bit register (see [`crate::vat`] for the layout
+//! and the dispatch). Each lane's weights equal a one-γ
+//! [`VatTrainer::train`] bit for bit. The Monte-Carlo validation then runs
+//! per γ through [`run_trials`] on the same pre-split streams as before,
+//! so the curve, the winner and the final weights are those of training
+//! every candidate alone. The final pass trains one γ and keeps the
+//! column-pair kernel of [`VatTrainer::train`].
 
 use serde::{Deserialize, Serialize};
 use vortex_linalg::rng::Xoshiro256PlusPlus;
@@ -77,9 +92,11 @@ pub struct SelfTuner {
     pub mc_draws: usize,
     /// RNG seed for the split and the injections.
     pub seed: u64,
-    /// Worker pool for the γ scan. Every setting produces identical
-    /// results (each candidate γ evaluates on its own pre-split stream);
-    /// only wall-clock time changes.
+    /// Worker pool for the γ scan: the (class, lane chunk) training tasks
+    /// and the per-γ validation trials. Every setting produces identical
+    /// results (each task is a pure function of its index, and each
+    /// candidate γ evaluates on its own pre-split stream); only
+    /// wall-clock time changes.
     pub parallelism: Parallelism,
 }
 
@@ -160,35 +177,35 @@ impl SelfTuner {
         let mut rng = Xoshiro256PlusPlus::seed_from_u64(self.seed);
         let split = tuning_split(train, self.validation_fraction, &mut rng)?;
 
-        // One executor trial per candidate γ: each candidate trains on the
-        // large group and measures with-variation validation accuracy over
-        // its own pre-split injection streams, so the scan fans out over
-        // the worker pool without changing any reported number.
-        let points = run_trials(
+        // The candidates train together in lockstep lanes (see
+        // `crate::vat`), bit-identical to training each alone. Then one
+        // executor trial per candidate γ measures with-variation
+        // validation accuracy over its own pre-split injection streams,
+        // so the scan fans out over the worker pool without changing any
+        // reported number.
+        let trained = base.train_gamma_grid(&split.train, &self.gamma_grid, self.parallelism)?;
+        let curve = run_trials(
             &mut rng,
             self.gamma_grid.len(),
             self.parallelism,
-            |k, gamma_rng| -> Result<GammaPoint> {
-                let gamma = self.gamma_grid[k];
-                let trainer = base.with_gamma(gamma);
-                let w = trainer.train(&split.train)?;
-                let training_rate = accuracy_of_weights(&w, &split.train);
-                let clean = accuracy_of_weights(&w, &split.test);
+            |k, gamma_rng| -> GammaPoint {
+                let w = &trained[k];
+                let training_rate = accuracy_of_weights(w, &split.train);
+                let clean = accuracy_of_weights(w, &split.test);
                 let mut acc = 0.0;
                 for _ in 0..self.mc_draws {
                     let mut draw_rng = gamma_rng.split();
-                    let wv = inject_variation(&w, base.sigma, &mut draw_rng);
+                    let wv = inject_variation(w, base.sigma, &mut draw_rng);
                     acc += accuracy_of_weights(&wv, &split.test);
                 }
-                Ok(GammaPoint {
-                    gamma,
+                GammaPoint {
+                    gamma: self.gamma_grid[k],
                     training_rate,
                     validation_with_variation: acc / self.mc_draws as f64,
                     validation_without_variation: clean,
-                })
+                }
             },
         );
-        let curve = points.into_iter().collect::<Result<Vec<GammaPoint>>>()?;
         // Winner selection: the paper's Fig. 5 scan takes the γ with the
         // best with-variation validation accuracy. That estimate averages
         // `mc_draws` accuracies over `split.test`, so it carries a

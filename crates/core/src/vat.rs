@@ -18,7 +18,7 @@
 //! One step makes two passes over `w` and allocates nothing:
 //!
 //! 1. the score `x·w` and `‖x ∘ w‖²`, accumulated together, each left to
-//!    right from zero exactly as [`vector::dot`] sums them;
+//!    right from zero exactly as [`vortex_linalg::vector::dot`] sums them;
 //! 2. per element, in the order the separate kernels applied them: the L2
 //!    shrink `w·(1 − α·l2)`, the hinge `+α·α₀·ŷ·x` and the penalty
 //!    `−(α·coeff/‖x ∘ w‖₂)·x·(x·w_old)`, recomputing `x·w_old` from the
@@ -28,17 +28,62 @@
 //! one-kernel-per-sweep loop (`dot`, `hadamard`, `norm2`, `scale`, `axpy`,
 //! penalty), so the weights are bit-identical to it; only the sign of a
 //! zero sum can differ with the toolchain's `f64::sum` start value, and
-//! that sign reaches no weight. [`VatTrainer::train`] runs the columns in
-//! lockstep pairs: each column keeps its own RNG, shuffle order and `w`,
-//! so pairing changes no result, while pass 1 carries four independent
-//! add chains instead of two, which hides floating-point add latency.
-//! `crates/core/tests/vat_equivalence.rs` pins all of this against the
+//! that sign reaches no weight. The per-element expression lives in one
+//! helper, `step_candidates`, that both bodies below share.
+//! [`VatTrainer::train`] runs the columns in lockstep pairs: each column
+//! keeps its own RNG, shuffle order and `w`, so pairing changes no
+//! result, while pass 1 carries four independent add chains instead of
+//! two, which hides floating-point add latency.
+//!
+//! # The γ lanes
+//!
+//! The self-tuning scan ([`crate::tuning`]) trains one model per candidate
+//! γ. The shuffle RNG of a column is seeded by its class alone, so every
+//! candidate of one class visits the same samples in the same order; only
+//! the penalty coefficient and the weights differ.
+//! [`VatTrainer::train_gamma_grid`] therefore trains the candidates of a
+//! class in lockstep lanes, four per chunk:
+//!
+//! - `w` is interleaved, lane `l` of weight `q` at `w[q·L + l]`, so `x[q]`
+//!   is loaded once and broadcast to every lane;
+//! - pass 1 sums each lane's score and `‖x ∘ w‖²` left to right from zero
+//!   as the column kernel does; each lane is its own chain, so no sum is
+//!   reordered;
+//! - each lane then takes the column kernel's decisions (`violated`, and
+//!   `coeff > 0 && ‖x ∘ w‖₂ > 1e-12`), which pick one of three updates:
+//!   shrink, shrink + hinge, or shrink + hinge + penalty. Pass 2 computes
+//!   all three with `step_candidates` and keeps one per lane through a
+//!   bit mask. An arithmetic blend would be wrong: adding a `0·x` term
+//!   turns a `−0.0` weight into `+0.0`;
+//! - in most steps once training settles, every lane meets its margin
+//!   and the update is the shrink alone. That shrink is owed to the next
+//!   step and applied as its pass 1 reads each weight, so such a step
+//!   sweeps `w` once instead of twice;
+//! - the last chunk is padded by repeating its last live γ, and the
+//!   padded lanes are dropped.
+//!
+//! A lane therefore rounds the same operands in the same order as the
+//! column kernel, and every candidate's weights equal
+//! `self.with_gamma(γ).train(data)` bit for bit.
+//!
+//! The lanes turn the scan's per-element work into independent vector
+//! operations across candidates. On `x86_64` the chunk body is compiled a
+//! second time under `#[target_feature(enable = "avx2")]` and called when
+//! the running CPU reports AVX2, so the four lanes fill one 256-bit
+//! register; other CPUs and targets run the same body at the baseline
+//! ISA. Only AVX2 is enabled, not FMA: Rust never contracts `a·b + c`
+//! into a fused multiply-add, so both builds round identically. The call
+//! into the AVX2 build is this crate's one `unsafe` site; its `SAFETY:`
+//! note is that the runtime feature check precedes it.
+//! `crates/core/tests/vat_equivalence.rs` pins both kernels against the
 //! one-kernel-per-sweep loop with `f64::to_bits`.
 
 use serde::{Deserialize, Serialize};
 use vortex_linalg::rng::Xoshiro256PlusPlus;
-use vortex_linalg::{vector, Matrix};
+use vortex_linalg::Matrix;
 use vortex_nn::dataset::Dataset;
+use vortex_nn::executor::Parallelism;
+use vortex_nn::pool::WorkerPool;
 
 use crate::rho::RhoConfig;
 use crate::{CoreError, Result};
@@ -46,6 +91,15 @@ use crate::{CoreError, Result};
 /// Columns [`VatTrainer::train`] steps in lockstep: a pair gives pass 1
 /// four independent add chains.
 const COLUMN_GROUP: usize = 2;
+
+/// γ candidates [`VatTrainer::train_gamma_grid`] trains in lockstep per
+/// chunk. Of 4, 8 and 12 lanes, 4 measured fastest per lane: they fill
+/// one 256-bit register under AVX2, and their interleaved weights (25 KiB
+/// at 784 rows) stay in L1.
+const LANES: usize = 4;
+
+/// One chunk of γ lanes: weight `q` of lane `l` at `[q][l]`.
+type LaneWeights = Vec<[f64; LANES]>;
 
 /// VAT trainer: hinge subgradient descent with the variation penalty.
 ///
@@ -293,28 +347,31 @@ impl VatTrainer {
                     };
                     // Penalty term: γ·ρ·‖x ∘ w‖₂ (Eq. (10) with t = |V|).
                     let penalty_norm = norm_sq[k].sqrt();
-                    let violated =
-                        self.alpha0 * target * score[k] - coeff * penalty_norm < self.margin;
-                    let (x, w) = (x[k], &mut w[k]);
-                    if !violated {
-                        if self.l2 > 0.0 {
-                            vector::scale(shrink, w);
-                        }
-                        continue;
-                    }
+                    let update = self.decide(target, score[k], penalty_norm, coeff);
                     // Hinge part: +α·α₀·ŷ·x.
                     let hinge = alpha * self.alpha0 * target;
-                    if coeff > 0.0 && penalty_norm > 1e-12 {
-                        // Penalty part: −α·coeff·(x∘x∘w)/‖x∘w‖₂, with the
-                        // pre-step `w`.
-                        let scale = alpha * coeff / penalty_norm;
-                        for (wq, &xq) in w.iter_mut().zip(x) {
-                            let xw = xq * *wq;
-                            *wq = (*wq * shrink + hinge * xq) - scale * xq * xw;
+                    // Penalty part: −α·coeff·(x∘x∘w)/‖x∘w‖₂, with the
+                    // pre-step `w`.
+                    let scale = alpha * coeff / penalty_norm;
+                    let (x, w) = (x[k], &mut w[k]);
+                    // Each arm keeps one candidate with a constant index;
+                    // the other two are dead code after inlining.
+                    match update {
+                        Update::Shrink if self.l2 == 0.0 => {}
+                        Update::Shrink => {
+                            for (wq, &xq) in w.iter_mut().zip(x) {
+                                *wq = step_candidates(*wq, xq, shrink, hinge, scale)[0];
+                            }
                         }
-                    } else {
-                        for (wq, &xq) in w.iter_mut().zip(x) {
-                            *wq = *wq * shrink + hinge * xq;
+                        Update::Hinge => {
+                            for (wq, &xq) in w.iter_mut().zip(x) {
+                                *wq = step_candidates(*wq, xq, shrink, hinge, scale)[1];
+                            }
+                        }
+                        Update::Penalty => {
+                            for (wq, &xq) in w.iter_mut().zip(x) {
+                                *wq = step_candidates(*wq, xq, shrink, hinge, scale)[2];
+                            }
                         }
                     }
                 }
@@ -322,6 +379,227 @@ impl VatTrainer {
         }
         w
     }
+
+    /// Which update a step applies to one column or lane: the hinge
+    /// fires when the padded margin is violated, and the penalty with it
+    /// when there is a penalty to apply.
+    #[inline(always)]
+    fn decide(&self, target: f64, score: f64, penalty_norm: f64, coeff: f64) -> Update {
+        let violated = self.alpha0 * target * score - coeff * penalty_norm < self.margin;
+        if !violated {
+            Update::Shrink
+        } else if coeff > 0.0 && penalty_norm > 1e-12 {
+            Update::Penalty
+        } else {
+            Update::Hinge
+        }
+    }
+
+    /// Trains one weight matrix per γ of `gammas`, in grid order: entry
+    /// `k` equals `self.with_gamma(gammas[k]).train(data)` bit for bit.
+    ///
+    /// The candidates of each class train in lockstep lanes (see the
+    /// module docs), and the (class, chunk) tasks fan out over
+    /// `parallelism`; every setting gives identical weights.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`Self::train`] for the first γ that fails.
+    pub fn train_gamma_grid(
+        &self,
+        data: &Dataset,
+        gammas: &[f64],
+        parallelism: Parallelism,
+    ) -> Result<Vec<Matrix>> {
+        let coeffs = gammas
+            .iter()
+            .map(|&gamma| self.with_gamma(gamma).prepare(data))
+            .collect::<Result<Vec<f64>>>()?;
+        let (n, m) = (data.num_features(), data.num_classes());
+        let chunks = gammas.len().div_ceil(LANES);
+        let tasks = m * chunks;
+        let train_task = |t: usize| -> LaneWeights {
+            let (class, chunk) = (t / chunks, t % chunks);
+            let live = &coeffs[chunk * LANES..coeffs.len().min((chunk + 1) * LANES)];
+            // Pad a short chunk with its last live γ; those lanes are
+            // dropped below.
+            let coeff = std::array::from_fn(|l| live[l.min(live.len() - 1)]);
+            self.train_lanes(data, class as u8, &coeff, true)
+        };
+        let workers = parallelism.resolve().min(tasks);
+        let lanes: Vec<LaneWeights> = if workers <= 1 {
+            (0..tasks).map(train_task).collect()
+        } else {
+            WorkerPool::global().run_indexed(tasks, workers, train_task)
+        };
+        let mut out = vec![Matrix::zeros(n, m); gammas.len()];
+        for (t, w) in lanes.iter().enumerate() {
+            let (class, chunk) = (t / chunks, t % chunks);
+            for (l, weights) in out[chunk * LANES..].iter_mut().take(LANES).enumerate() {
+                let col: Vec<f64> = w.iter().map(|wq| wq[l]).collect();
+                weights.set_col(class, &col);
+            }
+        }
+        Ok(out)
+    }
+
+    /// Trains one chunk of γ lanes of `class`, lane `l` with penalty
+    /// coefficient `coeff[l]`, on the widest build of
+    /// [`Self::train_lanes_body`] the CPU runs: the AVX2 build when
+    /// `allow_avx2` is set and the CPU has AVX2, else the baseline one.
+    fn train_lanes(
+        &self,
+        data: &Dataset,
+        class: u8,
+        coeff: &[f64; LANES],
+        allow_avx2: bool,
+    ) -> LaneWeights {
+        #[cfg(target_arch = "x86_64")]
+        if allow_avx2 && std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: `train_lanes_avx2` is safe code compiled with AVX2
+            // enabled; its one requirement is that the running CPU
+            // supports AVX2, which the feature check above established.
+            return unsafe { self.train_lanes_avx2(data, class, coeff) };
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = allow_avx2;
+        self.train_lanes_body(data, class, coeff)
+    }
+
+    /// [`Self::train_lanes_body`] compiled with AVX2 enabled.
+    ///
+    /// # Safety
+    ///
+    /// The running CPU must support AVX2.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn train_lanes_avx2(
+        &self,
+        data: &Dataset,
+        class: u8,
+        coeff: &[f64; LANES],
+    ) -> LaneWeights {
+        self.train_lanes_body(data, class, coeff)
+    }
+
+    /// The lane kernel: [`Self::train_group`]'s step for [`LANES`]
+    /// candidates of one class that share its RNG, shuffle order and
+    /// samples, each with its own coefficient and weights.
+    #[inline(always)]
+    fn train_lanes_body(&self, data: &Dataset, class: u8, coeff: &[f64; LANES]) -> LaneWeights {
+        let n = data.num_features();
+        let mut w: LaneWeights = vec![[0.0_f64; LANES]; n];
+        let mut order: Vec<usize> = (0..data.len()).collect();
+        let mut rng = Xoshiro256PlusPlus::seed_from_u64(self.seed ^ ((class as u64) << 32));
+        let mut step_count = 0usize;
+        // The shrink of a step every lane met its margin in (most steps
+        // once training settles), applied as the next step's pass 1 reads
+        // each weight instead of in a sweep of its own.
+        let mut owed_shrink: Option<f64> = None;
+
+        for _epoch in 0..self.epochs {
+            rng.shuffle(&mut order);
+            for &sample in &order {
+                step_count += 1;
+                let alpha = self.learning_rate / (1.0 + step_count as f64 * self.l2.max(1e-6));
+                let shrink = if self.l2 > 0.0 {
+                    1.0 - alpha * self.l2
+                } else {
+                    1.0
+                };
+                let x = &data.image(sample)[..n];
+                // Pass 1: one score and one `‖x ∘ w‖²` chain per lane.
+                let mut score = [0.0_f64; LANES];
+                let mut norm_sq = [0.0_f64; LANES];
+                if let Some(owed) = owed_shrink.take() {
+                    for (&xq, wq) in x.iter().zip(&mut w) {
+                        for l in 0..LANES {
+                            wq[l] = step_candidates(wq[l], xq, owed, 0.0, 0.0)[0];
+                            let xw = xq * wq[l];
+                            score[l] += xw;
+                            norm_sq[l] += xw * xw;
+                        }
+                    }
+                } else {
+                    for (&xq, wq) in x.iter().zip(&w) {
+                        for l in 0..LANES {
+                            let xw = xq * wq[l];
+                            score[l] += xw;
+                            norm_sq[l] += xw * xw;
+                        }
+                    }
+                }
+                let target = if data.label(sample) == class {
+                    1.0
+                } else {
+                    -1.0
+                };
+                let hinge = alpha * self.alpha0 * target;
+                // `keep[u][l]` is all ones where lane `l` takes update `u`.
+                let mut keep = [[0_u64; LANES]; 3];
+                let mut scale = [0.0_f64; LANES];
+                for l in 0..LANES {
+                    let penalty_norm = norm_sq[l].sqrt();
+                    let update = self.decide(target, score[l], penalty_norm, coeff[l]);
+                    keep[update as usize][l] = u64::MAX;
+                    scale[l] = alpha * coeff[l] / penalty_norm;
+                }
+                if keep[Update::Shrink as usize] == [u64::MAX; LANES] {
+                    // The shrink alone, owed to the next pass 1 (a no-op
+                    // when l2 is 0).
+                    if self.l2 > 0.0 {
+                        owed_shrink = Some(shrink);
+                    }
+                    continue;
+                }
+                // Pass 2: all three candidates per lane, one kept.
+                for (&xq, wq) in x.iter().zip(&mut w) {
+                    for l in 0..LANES {
+                        let [shrunk, hinged, penalised] =
+                            step_candidates(wq[l], xq, shrink, hinge, scale[l]);
+                        wq[l] = f64::from_bits(
+                            (shrunk.to_bits() & keep[Update::Shrink as usize][l])
+                                | (hinged.to_bits() & keep[Update::Hinge as usize][l])
+                                | (penalised.to_bits() & keep[Update::Penalty as usize][l]),
+                        );
+                    }
+                }
+            }
+        }
+        if let Some(owed) = owed_shrink {
+            for wq in &mut w {
+                for v in wq {
+                    *v = step_candidates(*v, 0.0, owed, 0.0, 0.0)[0];
+                }
+            }
+        }
+        w
+    }
+}
+
+/// The update one step applies to a column or lane; the discriminant
+/// indexes `step_candidates`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Update {
+    /// Margin met: the L2 shrink alone.
+    Shrink = 0,
+    /// Margin violated, no penalty: shrink + hinge.
+    Hinge = 1,
+    /// Margin violated: shrink + hinge + penalty.
+    Penalty = 2,
+}
+
+/// The three candidate values of one weight `w` after a step on input
+/// `x`: shrunk, shrunk + hinge, and shrunk + hinge − penalty, with the
+/// penalty recomputing `x·w` from the pre-step `w`. Written once for the
+/// column and the lane kernel, in the operand order of the
+/// one-kernel-per-sweep loop.
+#[inline(always)]
+fn step_candidates(w: f64, x: f64, shrink: f64, hinge: f64, scale: f64) -> [f64; 3] {
+    let shrunk = w * shrink;
+    let hinged = shrunk + hinge * x;
+    let penalised = hinged - scale * x * (x * w);
+    [shrunk, hinged, penalised]
 }
 
 /// Injects one draw of lognormal variation into a weight matrix:
@@ -425,6 +703,48 @@ mod tests {
             robust_vat > robust_plain - 0.01,
             "VAT should not be less robust: plain {robust_plain} vat {robust_vat}"
         );
+    }
+
+    fn avx2_available() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        {
+            std::arch::is_x86_feature_detected!("avx2")
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            false
+        }
+    }
+
+    #[test]
+    fn avx2_lanes_equal_the_portable_lanes_bit_for_bit() {
+        if !avx2_available() {
+            eprintln!("skipped: this CPU has no AVX2, so only the portable lane body runs");
+            return;
+        }
+        let d = data();
+        for l2 in [0.0, 1e-4] {
+            let t = VatTrainer {
+                epochs: 4,
+                l2,
+                ..fast(0.0, 0.6)
+            };
+            let coeff: [f64; LANES] = std::array::from_fn(|l| {
+                t.with_gamma([0.0, 0.3, 0.6, 1.0][l])
+                    .penalty_coefficient(d.num_features())
+                    .unwrap()
+            });
+            for class in [0_u8, 4, 9] {
+                let bits = |w: LaneWeights| -> Vec<u64> {
+                    w.iter().flatten().map(|v| v.to_bits()).collect()
+                };
+                assert_eq!(
+                    bits(t.train_lanes(&d, class, &coeff, true)),
+                    bits(t.train_lanes(&d, class, &coeff, false)),
+                    "l2 {l2}, class {class}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,23 +1,16 @@
-//! Equivalence and behaviour tests for the [`CompileRequest`] builder.
-//!
-//! The legacy positional compile methods are thin delegates over the
-//! request builder; these tests pin that equivalence at the strongest
-//! available granularity — byte equality of the serialized artifact.
+//! Behaviour tests for the [`CompileRequest`] builder, the one compile
+//! entry point. Equivalences are pinned at the strongest available
+//! granularity — byte equality of the serialized artifact.
 
 use vortex_core::amp::greedy::RowMapping;
 use vortex_core::pipeline::{CompileOptions, HardwareEnv};
 use vortex_core::CoreError;
 use vortex_device::cell::CellKind;
-use vortex_linalg::rng::Xoshiro256PlusPlus;
 use vortex_linalg::Matrix;
 use vortex_nn::dataset::{Dataset, DatasetConfig, SynthDigits};
 use vortex_nn::executor::Parallelism;
 use vortex_nn::gdt::GdtTrainer;
 use vortex_xbar::encoding::{EncodingScheme, EncodingSpec};
-
-fn rng() -> Xoshiro256PlusPlus {
-    Xoshiro256PlusPlus::seed_from_u64(123)
-}
 
 fn small_setup() -> (Dataset, Matrix) {
     let data = SynthDigits::generate(&DatasetConfig::tiny(), 7).unwrap();
@@ -31,40 +24,18 @@ fn small_setup() -> (Dataset, Matrix) {
 }
 
 #[test]
-fn legacy_compile_is_bit_equal_to_the_request_builder() {
-    let (data, w) = small_setup();
-    let mapping = RowMapping::identity(w.rows());
-    let env = HardwareEnv::with_sigma(0.4).unwrap().with_ir_drop(4.0);
-    let compiler = env.compiler().with_calibration(&data.mean_input());
-
-    let legacy = compiler.compile(&w, &mapping, &mut rng()).unwrap();
-    let via_request = compiler
-        .request(&w, &mapping)
-        .compile_with(&mut rng())
-        .unwrap();
-    assert_eq!(legacy.to_bytes(), via_request.to_bytes());
-}
-
-#[test]
-fn compile_seeded_is_bit_equal_to_a_seeded_request() {
-    let (data, w) = small_setup();
-    let mapping = RowMapping::identity(w.rows());
-    let env = HardwareEnv::with_sigma(0.3).unwrap();
-    let compiler = env.compiler().with_calibration(&data.mean_input());
-
-    let legacy = compiler.compile_seeded(&w, &mapping, 77).unwrap();
-    let via_request = compiler.request(&w, &mapping).seed(77).compile().unwrap();
-    assert_eq!(legacy.to_bytes(), via_request.to_bytes());
-}
-
-#[test]
 fn replica_compilation_is_parallelism_invariant() {
     let (data, w) = small_setup();
     let mapping = RowMapping::identity(w.rows());
     let env = HardwareEnv::with_sigma(0.3).unwrap();
     let compiler = env.compiler().with_calibration(&data.mean_input());
 
-    let serial = compiler.compile_replicas(&w, &mapping, 9, 4).unwrap();
+    let serial = compiler
+        .request(&w, &mapping)
+        .seed(9)
+        .parallelism(Parallelism::Serial)
+        .compile_replicas(4)
+        .unwrap();
     let parallel = compiler
         .request(&w, &mapping)
         .seed(9)
@@ -164,13 +135,17 @@ fn one_t1r_cell_compiles_and_differs_from_the_passive_array() {
     let one_r = env
         .compiler()
         .with_calibration(&data.mean_input())
-        .compile_seeded(&w, &mapping, 11)
+        .request(&w, &mapping)
+        .seed(11)
+        .compile()
         .unwrap();
     env.cell = CellKind::one_t1r(3.0e3).unwrap();
     let one_t1r = env
         .compiler()
         .with_calibration(&data.mean_input())
-        .compile_seeded(&w, &mapping, 11)
+        .request(&w, &mapping)
+        .seed(11)
+        .compile()
         .unwrap();
     // The access transistor reshapes the frozen conductances …
     assert_ne!(one_r.to_bytes(), one_t1r.to_bytes());

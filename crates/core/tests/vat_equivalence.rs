@@ -1,12 +1,12 @@
-//! The fused, column-paired VAT step and the fused GDT step against the
-//! straightforward per-step sweeps they replaced, compared weight by
-//! weight with `f64::to_bits`.
+//! The fused, column-paired VAT step, the γ-lane scan and the fused GDT
+//! step against the straightforward per-step sweeps they replaced,
+//! compared weight by weight with `f64::to_bits`.
 //!
 //! The oracles below are the six-sweep VAT loop (`dot`, `hadamard`,
 //! `norm2`, `scale`, `axpy`, penalty loop) and the three-sweep GDT loop,
 //! kept verbatim as the definition of the trainers' results. Any change
-//! in accumulation order, operation order or per-column RNG stream shows
-//! up here as a flipped bit.
+//! in accumulation order, operation order, per-column RNG stream or the
+//! sign of a zero weight shows up here as a flipped bit.
 
 use vortex_core::tuning::{GammaPoint, SelfTuner};
 use vortex_core::vat::{inject_variation, VatTrainer};
@@ -150,24 +150,132 @@ fn gdt_matches_its_oracle_bit_for_bit() {
     }
 }
 
+/// A hand-built set with exact zeros (both signs) and negative pixels:
+/// zero products and negative hinge terms reach every update mode and
+/// the sign of zero sums. Pixels 0 and 1 are always `+0.0` and `−0.0`,
+/// so their weights stay zeros whose sign the updates decide, and class 9
+/// has no samples, so its column only ever sees negative hinges.
+fn signed_data() -> Dataset {
+    let side = 4;
+    let samples = 60;
+    let mut rng = Xoshiro256PlusPlus::seed_from_u64(0x5167);
+    let images = Matrix::from_fn(samples, side * side, |i, q| {
+        match (q, (i * 7 + q * 3) % 6) {
+            (0, _) | (_, 0) => 0.0,
+            (1, _) | (_, 1) => -0.0,
+            (_, 2) => -(rng.next_below(1000) as f64) / 997.0,
+            _ => rng.next_below(1000) as f64 / 991.0,
+        }
+    });
+    let labels = (0..samples).map(|i| (i % 9) as u8).collect();
+    Dataset::from_parts(images, labels, side).unwrap()
+}
+
+fn assert_grid_matches_oracle(t: &VatTrainer, d: &Dataset, grid: &[f64], what: &str) {
+    let serial = t.train_gamma_grid(d, grid, Parallelism::Serial).unwrap();
+    assert_eq!(serial.len(), grid.len(), "{what}: one matrix per γ");
+    for (w, &gamma) in serial.iter().zip(grid) {
+        let want = vat_oracle(&t.with_gamma(gamma), d);
+        assert_bits_eq(w, &want, &format!("{what}: γ {gamma}"));
+    }
+    for threads in [2, 8] {
+        let par = t
+            .train_gamma_grid(d, grid, Parallelism::Fixed(threads))
+            .unwrap();
+        for (k, (a, b)) in par.iter().zip(&serial).enumerate() {
+            assert_bits_eq(a, b, &format!("{what}: γ #{k} at {threads} threads"));
+        }
+    }
+}
+
 #[test]
-fn self_tuner_matches_an_oracle_driven_scan() {
+fn lane_scan_matches_the_per_gamma_oracle_bit_for_bit() {
     let d = data();
-    let tuner = SelfTuner {
-        parallelism: Parallelism::Serial,
-        ..SelfTuner::coarse()
-    };
-    let base = VatTrainer {
-        epochs: 3,
+    let eleven: Vec<f64> = (0..=10).map(|k| k as f64 / 10.0).collect();
+    // Lengths 1, 3, 4, 5 and 11: a lone lane, padded chunks, an exact
+    // chunk and a chunk plus one. γ = 0 shares a chunk with penalised
+    // lanes in all but the first.
+    let grids: [&[f64]; 5] = [
+        &[0.35],
+        &[0.0, 0.5, 1.0],
+        &[0.0, 0.2, 0.6, 1.0],
+        &[0.9, 0.0, 0.3, 0.7, 0.1],
+        &eleven,
+    ];
+    for grid in grids {
+        for l2 in [0.0, 1e-4] {
+            for sigma in [0.0, 0.6] {
+                let t = VatTrainer {
+                    epochs: 3,
+                    l2,
+                    sigma,
+                    ..VatTrainer::default()
+                };
+                let what = format!("grid of {} l2 {l2} σ {sigma}", grid.len());
+                assert_grid_matches_oracle(&t, &d, grid, &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn lane_scan_matches_the_oracle_on_zeros_and_negative_pixels() {
+    let d = signed_data();
+    let grid = [0.0, 0.4, 1.0, 0.0, 0.7];
+    for l2 in [0.0, 1e-4] {
+        for sigma in [0.0, 0.6] {
+            let t = VatTrainer {
+                epochs: 6,
+                l2,
+                sigma,
+                ..VatTrainer::default()
+            };
+            let what = format!("signed data l2 {l2} σ {sigma}");
+            assert_grid_matches_oracle(&t, &d, &grid, &what);
+        }
+    }
+    // A first step with α·l2 > 1 shrinks by a negative factor, which
+    // turns untouched +0.0 weights into −0.0; without a penalty, class
+    // 9's stay so. An update that added a masked-out `+0.0` term instead
+    // of selecting one would flip them back.
+    let t = VatTrainer {
+        epochs: 2,
+        learning_rate: 3.0,
+        l2: 1.0,
         sigma: 0.6,
         ..VatTrainer::default()
     };
-    let out = tuner.tune(&base, &d).unwrap();
+    let negative_zeros = vat_oracle(&t.with_gamma(0.0), &d)
+        .as_slice()
+        .iter()
+        .filter(|w| w.to_bits() == (-0.0_f64).to_bits())
+        .count();
+    assert!(negative_zeros > 0, "the case must reach −0.0 weights");
+    assert_grid_matches_oracle(&t, &d, &grid, "negative shrink");
+}
 
-    // The scan of `SelfTuner::tune`, with the oracle as the trainer.
+#[test]
+fn lane_scan_rejects_what_train_rejects() {
+    let d = data();
+    let t = VatTrainer::default();
+    assert!(t
+        .train_gamma_grid(&d, &[0.2, 1.5], Parallelism::Serial)
+        .is_err());
+    assert!(t
+        .train_gamma_grid(&d, &[], Parallelism::Serial)
+        .unwrap()
+        .is_empty());
+    let empty = Dataset::from_parts(Matrix::zeros(0, 16), Vec::new(), 4).unwrap();
+    assert!(t
+        .train_gamma_grid(&empty, &[0.2], Parallelism::Serial)
+        .is_err());
+}
+
+/// The scan of `SelfTuner::tune`, with the oracle as the trainer.
+fn oracle_curve(tuner: &SelfTuner, base: &VatTrainer, d: &Dataset) -> Vec<GammaPoint> {
     let mut rng = Xoshiro256PlusPlus::seed_from_u64(tuner.seed);
-    let split = tuning_split(&d, tuner.validation_fraction, &mut rng).unwrap();
-    let curve: Vec<GammaPoint> = run_trials(
+    let split = tuning_split(d, tuner.validation_fraction, &mut rng).unwrap();
+    run_trials(
         &mut rng,
         tuner.gamma_grid.len(),
         Parallelism::Serial,
@@ -187,18 +295,44 @@ fn self_tuner_matches_an_oracle_driven_scan() {
                 validation_without_variation: accuracy_of_weights(&w, &split.test),
             }
         },
-    );
-    assert_eq!(out.curve.len(), curve.len());
-    for (got, want) in out.curve.iter().zip(&curve) {
-        assert_eq!(
-            got.validation_with_variation.to_bits(),
-            want.validation_with_variation.to_bits(),
-            "γ {}",
-            want.gamma
-        );
-        assert_eq!(got, want);
+    )
+}
+
+#[test]
+fn self_tuner_matches_an_oracle_driven_scan() {
+    let d = data();
+    let base = VatTrainer {
+        epochs: 3,
+        sigma: 0.6,
+        ..VatTrainer::default()
+    };
+    for grid in [SelfTuner::coarse(), SelfTuner::default()] {
+        let curve = oracle_curve(&grid, &base, &d);
+        for parallelism in [
+            Parallelism::Serial,
+            Parallelism::Fixed(2),
+            Parallelism::Fixed(8),
+        ] {
+            let tuner = SelfTuner {
+                parallelism,
+                ..grid.clone()
+            };
+            let what = format!("{} γ at {parallelism:?}", grid.gamma_grid.len());
+            let out = tuner.tune(&base, &d).unwrap();
+            assert_eq!(out.curve.len(), curve.len(), "{what}");
+            for (got, want) in out.curve.iter().zip(&curve) {
+                assert_eq!(
+                    got.validation_with_variation.to_bits(),
+                    want.validation_with_variation.to_bits(),
+                    "{what}: γ {}",
+                    want.gamma
+                );
+                assert_eq!(got, want, "{what}");
+            }
+            // The winner is a function of the curve; its final pass must
+            // match.
+            let final_w = vat_oracle(&base.with_gamma(out.best_gamma), &d);
+            assert_bits_eq(&out.weights, &final_w, &format!("{what}: final pass"));
+        }
     }
-    // The winner is a function of the curve; its final pass must match.
-    let final_w = vat_oracle(&base.with_gamma(out.best_gamma), &d);
-    assert_bits_eq(&out.weights, &final_w, "final pass");
 }

@@ -219,7 +219,22 @@ impl WorkerPool {
         }
         let helpers = concurrency.saturating_sub(1).min(tasks - 1).min(self.size);
         if helpers == 0 {
-            return (0..tasks).map(f).collect();
+            // The caller alone, under the same panic contract: every
+            // index runs, then the first payload is re-raised.
+            let mut first_panic = None;
+            let mut values = Vec::with_capacity(tasks);
+            for k in 0..tasks {
+                match catch_unwind(AssertUnwindSafe(|| f(k))) {
+                    Ok(value) => values.push(value),
+                    Err(payload) => {
+                        first_panic.get_or_insert(payload);
+                    }
+                }
+            }
+            if let Some(payload) = first_panic {
+                resume_unwind(payload);
+            }
+            return values;
         }
 
         let mut slots: Vec<UnsafeCell<Option<T>>> = Vec::with_capacity(tasks);

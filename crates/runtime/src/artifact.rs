@@ -627,10 +627,20 @@ impl CompiledModel {
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let d = decode(bytes).map_err(RuntimeError::Artifact)?;
         // Pre-v3 artifacts carry no table; they were programmed with the
-        // continuous differential encoding by definition.
-        let encoding = d
-            .encoding
-            .unwrap_or_else(|| EncodingTable::differential(d.physical_rows));
+        // continuous differential encoding by definition. The table is
+        // sized by ROUT's physical row count, so that count must first
+        // agree with the conductance matrix the payload bounds.
+        let encoding = match d.encoding {
+            Some(table) => table,
+            None if d.physical_rows == d.g_pos.rows() => {
+                EncodingTable::differential(d.physical_rows)
+            }
+            None => {
+                return Err(RuntimeError::Artifact(ArtifactError::Malformed {
+                    context: "ROUT physical rows disagree with GPOS",
+                }))
+            }
+        };
         Self::from_parts(
             d.fidelity,
             d.r_wire,

@@ -357,6 +357,26 @@ fn oversized_rout_count_is_malformed_not_an_abort() {
 }
 
 #[test]
+fn oversized_physical_rows_without_enct_are_malformed_not_an_abort() {
+    // A pre-v3 artifact has no ENCT table, so the decoder builds one per
+    // physical row; 2^40 of them must be refused before that allocation.
+    let mut bytes = compiled(6, 3, 0.0, Fidelity::Ideal, 5).to_bytes();
+    let tag_at = enct_tag_at(&bytes);
+    let len = u64::from_le_bytes(bytes[tag_at + 4..tag_at + 12].try_into().unwrap()) as usize;
+    bytes.drain(tag_at..tag_at + SECTION_HEADER + len);
+    let count_at = MAGIC.len() + 4;
+    let count = u32::from_le_bytes(bytes[count_at..count_at + 4].try_into().unwrap());
+    bytes[count_at..count_at + 4].copy_from_slice(&(count - 1).to_le_bytes());
+    let rows_at = section_at(&bytes, b"ROUT") + SECTION_HEADER;
+    bytes[rows_at..rows_at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    reseal_crc(&mut bytes);
+    match artifact_err(CompiledModel::from_bytes(&bytes)) {
+        ArtifactError::Malformed { .. } => {}
+        other => panic!("expected Malformed, got {other:?}"),
+    }
+}
+
+#[test]
 fn oversized_matrix_dimensions_are_malformed_not_an_abort() {
     // GPOS announcing 2^20 × 2^20 entries (8 TiB) in a 9×4 payload.
     let mut bytes = compiled(9, 4, 0.0, Fidelity::Ideal, 5).to_bytes();

@@ -40,7 +40,8 @@ fn main() -> Result<(), Error> {
     let model = env
         .compiler()
         .with_calibration(&split.test.mean_input())
-        .compile(&weights, &RowMapping::identity(weights.rows()), &mut rng)?;
+        .request(&weights, &RowMapping::identity(weights.rows()))
+        .compile_with(&mut rng)?;
     println!(
         "compiled: {}x{} crossbar pair, {:?} read path",
         model.rows(),
